@@ -325,7 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidSubsetError as exc:
         print(f"pbcat: invalid subset: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"pbcat: cannot read input: {exc}", file=sys.stderr)
         return 2
     except DiagramInvalidError as exc:

@@ -228,6 +228,18 @@ def test_wagner_preston_rejects_left_zero_with_witness(capsys, tmp_path):
     assert "result: FAIL" in out
 
 
+def test_wagner_preston_rejects_a_non_associative_table_with_unique_inverses(
+        capsys, tmp_path):
+    path = tmp_path / "q.tbl"
+    path.write_text("semigroup Q = z a b\nz: z z z\na: z z b\nb: z a z\n\n")
+    code, out, err = run_cli(capsys, "wagner-preston", str(path))
+    assert code == 1 and err == ""
+    assert "associative: false" in out
+    assert "unique-inverses: true" in out
+    assert "witness: associativity a a b" in out
+    assert "result: FAIL not an inverse semigroup" in out
+
+
 def test_malformed_inputs_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.pbij"
     bad.write_text("pbij broken 1 -> a\n")
@@ -236,6 +248,11 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "kernel", str(tmp_path / "missing.pbij"))
     assert code == 2 and "cannot read input" in err
+
+    latin1 = tmp_path / "latin1.pbij"
+    latin1.write_bytes("pbij f : 1 2 -> é\n1 -> é\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "kernel", str(latin1))
+    assert code == 2 and out == "" and err.startswith("pbcat: cannot read input: ")
 
     code, _, err = run_cli(capsys, "enumerate", "--max-size", "7")
     assert code == 2 and "max-size" in err

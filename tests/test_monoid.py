@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from pbcat.core import FinSet, ObjectMismatchError, PBij, classify, compose, identity, inverse
@@ -6,6 +9,7 @@ from pbcat.monoid import (
     CayleyTable,
     NotInverseSemigroupError,
     TableShapeError,
+    _generating_set,
     idempotents_of,
     symmetric_inverse_monoid,
     unique_inverse_check,
@@ -20,11 +24,19 @@ Z2 = CayleyTable(("e", "a"), ((0, 1), (1, 0)))
 MIN_SEMILATTICE = CayleyTable(("0", "1"), ((0, 0), (0, 1)))
 LEFT_ZERO = CayleyTable(("a", "b"), ((0, 0), (1, 1)))
 NON_ASSOC = CayleyTable(("x", "y"), ((1, 0), (0, 0)))
+# non-associative ((a*a)*b = z, a*(a*b) = b), yet every element has exactly
+# one quasi-inverse
+NON_ASSOC_UNIQUE = CayleyTable(("z", "a", "b"), ((0, 0, 0), (0, 0, 2), (0, 1, 0)))
 
 
 def i_of_2_table():
     """Cayley table of the 7-element symmetric inverse monoid on two points."""
-    elems = symmetric_inverse_monoid(universe(2))
+    return i_of_n_table(2)
+
+
+def i_of_n_table(points):
+    """Cayley table of the symmetric inverse monoid on the given number of points."""
+    elems = symmetric_inverse_monoid(universe(points))
     names = [f"m{i}" for i in range(len(elems))]
     by_value = {f: names[i] for i, f in enumerate(elems)}
     lookup = {n: f for n, f in zip(names, elems)}
@@ -181,3 +193,108 @@ def test_wagner_preston_image_table_reverifies():
         report = verify_inverse_semigroup(image_table)
         assert report.associative and report.regular
         assert report.idempotents_commute and report.inverses_unique
+
+
+# -- the generator-based checks against brute force -------------------------
+
+def brute_associativity_failures(table):
+    """Every (x, y, z) with (x*y)*z != x*(y*z), in lexicographic order."""
+    n, mul = len(table), table.mul_index
+    return [(x, y, z) for x, y, z in itertools.product(range(n), repeat=3)
+            if mul(mul(x, y), z) != mul(x, mul(y, z))]
+
+
+def brute_homomorphism_holds(table, theta):
+    """theta(a*b) == theta(a) o theta(b) for all n² pairs, and theta injective."""
+    return (all(theta[table.mul(a, b)] == compose(theta[a], theta[b])
+                for a in table.elements for b in table.elements)
+            and len(set(theta.values())) == len(table))
+
+
+def brute_closure(table, generators):
+    """The closure of the generators under the product, by fixpoint."""
+    closed = set(generators)
+    while True:
+        grown = closed | {table.mul_index(x, y) for x in closed for y in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def assert_agrees_with_brute_force(table):
+    n = len(table)
+    generators = _generating_set(table)
+    assert brute_closure(table, generators) == set(range(n))
+    failures = brute_associativity_failures(table)
+    try:
+        theta = wagner_preston(table)
+    except NotInverseSemigroupError as exc:
+        report = exc.report
+        assert not (report.associative and report.inverses_unique)
+    else:
+        report = verify_inverse_semigroup(table)
+        assert brute_homomorphism_holds(table, theta)
+    assert report.associative == (not failures)
+    witnesses = [w[1:] for w in report.counterexamples if w[0] == "associativity"]
+    # Light's test lists exactly the brute-force failures whose middle
+    # element is a generator, in the same order; each one replays
+    name = table.elements
+    assert witnesses == [(name[x], name[y], name[z]) for x, y, z in failures
+                         if y in generators]
+    for a, b, c in witnesses:
+        assert table.mul(table.mul(a, b), c) != table.mul(a, table.mul(b, c))
+
+
+def test_generator_checks_agree_with_brute_force_on_every_small_magma():
+    checked = 0
+    for n in range(4):
+        elements = tuple("abc"[:n])
+        for entries in itertools.product(range(n), repeat=n * n):
+            rows = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+            assert_agrees_with_brute_force(CayleyTable(elements, rows))
+            checked += 1
+    assert checked == 1 + 1 + 2 ** 4 + 3 ** 9
+
+
+def test_generator_checks_agree_with_brute_force_on_perturbed_i3():
+    base = i_of_n_table(3)
+    assert_agrees_with_brute_force(base)
+    n = len(base)
+    rng = random.Random(20091)
+    rejected_non_associative = 0
+    for _ in range(24):
+        i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        rows = [list(row) for row in base.product]
+        rows[i][j] = v
+        table = CayleyTable(base.elements, rows)
+        assert_agrees_with_brute_force(table)
+        rejected_non_associative += not verify_inverse_semigroup(table).associative
+    assert rejected_non_associative > 0
+
+
+def test_generating_set_does_not_depend_on_element_order():
+    base = i_of_n_table(3)
+    n = len(base)
+    rng = random.Random(3)
+    for _ in range(6):
+        order = list(range(n))
+        rng.shuffle(order)
+        position = {old: new for new, old in enumerate(order)}
+        rows = [[position[base.product[i][j]] for j in order] for i in order]
+        table = CayleyTable(tuple(base.elements[i] for i in order), rows)
+        generators = _generating_set(table)
+        assert generators == sorted(generators)
+        assert brute_closure(table, generators) == set(range(n))
+        # two permutations (row of all 34) and one rank-2 map (row of 13),
+        # however the table lists its elements
+        ranks = sorted(len(set(table.product[g])) for g in generators)
+        assert ranks == [13, n, n]
+
+
+def test_wagner_preston_rejects_a_non_associative_table_with_unique_inverses():
+    with pytest.raises(NotInverseSemigroupError) as exc:
+        wagner_preston(NON_ASSOC_UNIQUE)
+    report = exc.value.report
+    assert not report.associative
+    assert report.regular and report.inverses_unique
+    assert ("associativity", "a", "a", "b") in report.counterexamples
