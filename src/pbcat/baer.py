@@ -18,6 +18,7 @@ from .core import (
     InternalContradictionError,
     ObjectMismatchError,
     PBij,
+    _trusted,
     classify,
     compose,
     enumerate_pbij,
@@ -118,8 +119,8 @@ def factorize(f: PBij) -> Factorization:
     includes im(f) back into the original target.  mono ∘ epi = f.
     """
     via = FinSet(f.im)
-    mono = PBij(via, f.target, ((y, y) for y in via))
-    epi = PBij(f.source, via, f.items())
+    mono = _trusted(via, f.target, {y: y for y in via.elements})
+    epi = _trusted(f.source, via, f._map)
     return Factorization(mono=mono, epi=epi, via=via)
 
 

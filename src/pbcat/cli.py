@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 from .baer import cokernel, factorize, kernel
 from .core import (
     FinSet,
+    InternalContradictionError,
     InvalidSubsetError,
     PBij,
     classify,
@@ -330,6 +331,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except DiagramInvalidError as exc:
         print(f"pbcat: invalid diagram: {exc}", file=sys.stderr)
+        return 1
+    except InternalContradictionError as exc:
+        print(f"pbcat: internal contradiction: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write("\n".join(_header(cfg) + body) + "\n")
     return code

@@ -67,6 +67,8 @@ class FinSet:
         return token in self._as_set
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FinSet):
             return NotImplemented
         return self._as_set == other._as_set
@@ -100,27 +102,37 @@ class FinSet:
 
 
 class PBij:
-    """A partial bijection between two finite sets, given by its graph.
+    """A partial bijection between two finite sets.
 
-    ``graph`` is a set of (x, y) pairs with each x drawn from ``source`` at
-    most once and each y drawn from ``target`` at most once.  Two morphisms
-    are equal iff source, target, and graph all agree; Hom-sets over
-    distinct object pairs are therefore disjoint.
+    The map is stored once, as a ``token -> token`` dict whose keys follow
+    the source's declaration order.  The public constructor validates its
+    pairs (each x from ``source`` at most once, each y from ``target`` at
+    most once); it is the boundary that parsed input, callers and the
+    Wagner-Preston translations go through.  Results of operations on
+    valid morphisms (composites, inverses, enumerations, partial
+    identities, canonical arrows) are valid by construction and are built
+    by :func:`_trusted`, which skips the checks.
+
+    ``graph``, ``dom``, ``im`` and the hash are derived on first use.  Two
+    morphisms are equal iff source, target, and map all agree, whatever
+    order their objects list their tokens in; Hom-sets over distinct
+    object pairs are therefore disjoint.
     """
 
-    __slots__ = ("source", "target", "graph", "dom", "im", "_map")
+    __slots__ = ("source", "target", "_map", "_graph", "_dom", "_im", "_hash")
 
     def __init__(self, source: FinSet, target: FinSet,
                  pairs: Iterable[tuple[str, str]] = ()):
-        graph = frozenset((x, y) for x, y in pairs)
         fwd: dict[str, str] = {}
         seen_y = set()
-        for x, y in graph:
+        for x, y in pairs:
             if x not in source:
                 raise ValueError(f"{x!r} is not in the source set")
             if y not in target:
                 raise ValueError(f"{y!r} is not in the target set")
             if x in fwd:
+                if fwd[x] == y:
+                    continue  # a repeated pair is the same pair
                 raise ValueError(f"{x!r} is mapped twice; not functional")
             if y in seen_y:
                 raise ValueError(f"{y!r} is hit twice; not injective")
@@ -128,10 +140,33 @@ class PBij:
             seen_y.add(y)
         self.source = source
         self.target = target
-        self.graph = graph
-        self._map = fwd
-        self.dom = tuple(x for x in source if x in fwd)
-        self.im = tuple(y for y in target if y in seen_y)
+        self._map = {x: fwd[x] for x in source.elements if x in fwd}
+        self._graph = self._dom = self._im = self._hash = None
+
+    @property
+    def graph(self) -> frozenset[tuple[str, str]]:
+        """The set of (x, f(x)) pairs."""
+        graph = self._graph
+        if graph is None:
+            self._graph = graph = frozenset(self._map.items())
+        return graph
+
+    @property
+    def dom(self) -> tuple[str, ...]:
+        """The domain, in source declaration order."""
+        dom = self._dom
+        if dom is None:
+            self._dom = dom = tuple(self._map)
+        return dom
+
+    @property
+    def im(self) -> tuple[str, ...]:
+        """The image, in target declaration order."""
+        im = self._im
+        if im is None:
+            hit = set(self._map.values())
+            self._im = im = tuple(y for y in self.target.elements if y in hit)
+        return im
 
     def __call__(self, x: str) -> str:
         """Apply to ``x``; raises KeyError outside the domain."""
@@ -142,20 +177,23 @@ class PBij:
 
     def items(self) -> Iterator[tuple[str, str]]:
         """Graph pairs in source declaration order."""
-        return ((x, self._map[x]) for x in self.dom)
+        return iter(self._map.items())
 
     @property
     def is_zero(self) -> bool:
-        return not self.graph
+        return not self._map
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PBij):
             return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.graph == other.graph)
+        return (self._map == other._map and self.source == other.source
+                and self.target == other.target)
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.graph))
+        h = self._hash
+        if h is None:
+            self._hash = h = hash((self.source, self.target, self.graph))
+        return h
 
     def __mul__(self, other: "PBij") -> "PBij":
         # g * f is g after f, like g(f(x))
@@ -169,6 +207,35 @@ class PBij:
         src = " ".join(self.source.elements)
         tgt = " ".join(self.target.elements)
         return f"PBij({src} -> {tgt}: {pairs})"
+
+
+def _trusted(source: FinSet, target: FinSet, fwd: dict[str, str]) -> PBij:
+    """A PBij over an already valid map, without the constructor's checks.
+
+    ``fwd`` must be injective, map source tokens to target tokens, and list
+    its keys in source declaration order; the caller owns that promise.
+    The dict is kept, not copied, and no PBij ever changes its map.
+    """
+    f = object.__new__(PBij)
+    f.source = source
+    f.target = target
+    f._map = fwd
+    f._graph = f._dom = f._im = f._hash = None
+    return f
+
+
+def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> frozenset[str]:
+    """``A`` as a frozenset, after checking that it lies inside ``X``.
+
+    Raises :class:`InvalidSubsetError` with ``message``, or by default
+    with the stray tokens and the elements of ``X``.
+    """
+    keep = frozenset(A)
+    if not keep <= X._as_set:
+        if message is None:
+            message = f"{sorted(keep - X._as_set)!r} not contained in {list(X.elements)!r}"
+        raise InvalidSubsetError(message)
+    return keep
 
 
 @dataclass(frozen=True)
@@ -188,38 +255,32 @@ def compose(g: PBij, f: PBij) -> PBij:
     If the image of f misses the domain of g entirely, the result is the
     zero morphism.
     """
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise ObjectMismatchError(
             f"cannot compose: intermediate objects differ "
             f"({list(f.target.elements)} vs {list(g.source.elements)})")
-    pairs = []
-    for x, fx in f.items():
-        gy = g.get(fx)
-        if gy is not None:
-            pairs.append((x, gy))
-    return PBij(f.source, g.target, pairs)
+    gm = g._map
+    return _trusted(f.source, g.target, {x: gm[y] for x, y in f._map.items() if y in gm})
 
 
 def inverse(f: PBij) -> PBij:
     """Transpose the graph; dom and im trade places."""
-    return PBij(f.target, f.source, ((y, x) for x, y in f.graph))
+    back = {y: x for x, y in f._map.items()}
+    return _trusted(f.target, f.source, {y: back[y] for y in f.target.elements if y in back})
 
 
 def partial_identity(X: FinSet, A: Iterable[str]) -> PBij:
     """The identity on A viewed as a morphism X -> X; requires A ⊆ X."""
-    keep = frozenset(A)
-    if not keep <= X._as_set:
-        stray = sorted(keep - X._as_set)
-        raise InvalidSubsetError(f"{stray!r} not contained in {list(X.elements)!r}")
-    return PBij(X, X, ((a, a) for a in X if a in keep))
+    keep = _subset(A, X)
+    return _trusted(X, X, {a: a for a in X.elements if a in keep})
 
 
 def identity(X: FinSet) -> PBij:
-    return partial_identity(X, X)
+    return _trusted(X, X, {x: x for x in X.elements})
 
 
 def zero_morphism(X: FinSet, Y: FinSet) -> PBij:
-    return PBij(X, Y)
+    return _trusted(X, Y, {})
 
 
 def classify(f: PBij) -> Classification:
@@ -228,11 +289,11 @@ def classify(f: PBij) -> Classification:
     In this category a morphism is mono iff its domain is all of the source
     and epi iff its image is all of the target; iso means both.
     """
-    is_mono = len(f.dom) == len(f.source)
-    is_epi = len(f.im) == len(f.target)
+    is_mono = len(f._map) == len(f.source)
+    is_epi = len(f._map) == len(f.target)
     if f.source == f.target:
         is_idem = compose(f, f) == f
-        is_pid = all(x == y for x, y in f.graph)
+        is_pid = all(x == y for x, y in f._map.items())
         note = None
     else:
         is_idem = False
@@ -259,7 +320,7 @@ def enumerate_pbij(X: FinSet, Y: FinSet) -> Iterator[PBij]:
     for k in range(top + 1):
         for dom in itertools.combinations(X.elements, k):
             for img in itertools.permutations(Y.elements, k):
-                yield PBij(X, Y, zip(dom, img))
+                yield _trusted(X, Y, dict(zip(dom, img)))
 
 
 def cancellation_oracle(f: PBij, side: str,

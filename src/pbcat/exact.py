@@ -17,9 +17,10 @@ from .baer import cokernel, kernel
 from .core import (
     FinSet,
     InternalContradictionError,
-    InvalidSubsetError,
     ObjectMismatchError,
     PBij,
+    _subset,
+    _trusted,
     classify,
     compose,
     identity,
@@ -70,14 +71,11 @@ class ShortExactSeq:
 
 def make_ses(X: FinSet, X1: Iterable[str]) -> ShortExactSeq:
     """The canonical sequence 0 -> X1 -> X -> X - X1 -> 0 for X1 ⊆ X."""
-    keep = frozenset(X1)
-    if not keep <= X._as_set:
-        stray = sorted(keep - X._as_set)
-        raise InvalidSubsetError(f"{stray!r} not contained in {list(X.elements)!r}")
+    keep = _subset(X1, X)
     U = X.intersection(keep)
     W = X.difference(keep)
-    alpha = PBij(U, X, ((u, u) for u in U))
-    beta = PBij(X, W, ((w, w) for w in W))
+    alpha = _trusted(U, X, {u: u for u in U.elements})
+    beta = _trusted(X, W, {w: w for w in W.elements})
     return ShortExactSeq(U=U, V=X, W=W, alpha=alpha, beta=beta)
 
 
@@ -196,14 +194,8 @@ def build_noether_grid(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> Grid3
     """The grid whose completion proves the first Noether theorem:
     top row X1 = X1 -> ∅, middle row X2 -> X -> X-X2, columns the three
     canonical quotient sequences.  Requires X1 ⊆ X2 ⊆ X."""
-    ones = frozenset(X1)
-    twos = frozenset(X2)
-    if not twos <= X._as_set:
-        raise InvalidSubsetError("X2 must be a subset of X")
-    if not ones <= twos:
-        raise InvalidSubsetError("X1 must be a subset of X2")
-    x1 = X.intersection(ones)
-    x2 = X.intersection(twos)
+    x2 = X.intersection(_subset(X2, X, "X2 must be a subset of X"))
+    x1 = X.intersection(_subset(X1, x2, "X1 must be a subset of X2"))
     empty = FinSet()
 
     middle = make_ses(X, x2)
@@ -235,14 +227,8 @@ def noether_first(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     its epi with the inverse of the canonical quotient of its mono yields
     the isomorphism, which must be the identity relation on X-X2.
     """
-    ones = frozenset(X1)
-    twos = frozenset(X2)
-    if not twos <= X._as_set:
-        raise InvalidSubsetError("X2 must be a subset of X")
-    if not ones <= twos:
-        raise InvalidSubsetError("X1 must be a subset of X2")
-    x1 = X.intersection(ones)
-    x2 = X.intersection(twos)
+    x2 = X.intersection(_subset(X2, X, "X2 must be a subset of X"))
+    x1 = X.intersection(_subset(X1, x2, "X1 must be a subset of X2"))
     lhs = X.difference(x1).difference(x2.difference(x1))
     rhs = X.difference(x2)
     if lhs != rhs:
@@ -266,14 +252,8 @@ def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     X2; that composite is an epi whose kernel is X1∩X2, and dividing it by
     the canonical quotient of that kernel gives the isomorphism.
     """
-    ones = frozenset(X1)
-    twos = frozenset(X2)
-    if not ones <= X._as_set:
-        raise InvalidSubsetError("X1 must be a subset of X")
-    if not twos <= X._as_set:
-        raise InvalidSubsetError("X2 must be a subset of X")
-    x1 = X.intersection(ones)
-    x2 = X.intersection(twos)
+    x1 = X.intersection(_subset(X1, X, "X1 must be a subset of X"))
+    x2 = X.intersection(_subset(X2, X, "X2 must be a subset of X"))
     lhs = x2.difference(x1.intersection(x2))
     rhs = x1.union(x2).difference(x1)
     if lhs != rhs:

@@ -92,7 +92,9 @@ class AxiomReport:
 
     Every false flag is backed by at least one witness tuple in
     ``counterexamples``; ``inverse_map`` is present exactly when each
-    element has one and only one generalized inverse.
+    element has one and only one generalized inverse.  ``generators`` names
+    the generating set the associativity test used, in table order; it
+    records how the check ran, so it takes no part in equality.
     """
 
     associative: bool
@@ -101,6 +103,7 @@ class AxiomReport:
     inverses_unique: bool
     inverse_map: dict[str, str] | None = None
     counterexamples: tuple[tuple[str, ...], ...] = field(default=())
+    generators: tuple[str, ...] = field(default=(), compare=False)
 
 
 def _generating_set(table: CayleyTable) -> list[int]:
@@ -228,6 +231,7 @@ def verify_inverse_semigroup(table: CayleyTable) -> AxiomReport:
         inverses_unique=inverses_unique,
         inverse_map=inverse_map if inverses_unique else None,
         counterexamples=tuple(witnesses),
+        generators=tuple(name[g] for g in generators),
     )
 
 
@@ -269,9 +273,9 @@ def wagner_preston(table: CayleyTable) -> dict[str, PBij]:
     are re-verified here on the constructed maps.  The homomorphism law
     ``theta(a*g) == theta(a) o theta(g)`` is checked for every a and every
     g in the greedy generating set that :func:`verify_inverse_semigroup`
-    uses.  The table is associative by then, so every b is a product of
-    generators, and the law for all n² pairs (a, b) follows by induction
-    on the length of b.
+    used and reports.  The table is associative by then, so every b is a
+    product of generators, and the law for all n² pairs (a, b) follows by
+    induction on the length of b.
 
     A table that is not associative or lacks unique inverses is rejected
     with :class:`NotInverseSemigroupError`.
@@ -290,7 +294,7 @@ def wagner_preston(table: CayleyTable) -> dict[str, PBij]:
         theta.append(PBij(carrier, carrier,
                           [(names[x], names[row_a[x]]) for x in dom]))
 
-    generators = _generating_set(table)
+    generators = [index[g] for g in report.generators]
     for a, row_a in enumerate(p):
         for g in generators:
             if theta[row_a[g]] != compose(theta[a], theta[g]):

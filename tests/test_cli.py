@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
+from pbcat import cli
 from pbcat.baer import kernel
 from pbcat.cli import RunConfig, main
-from pbcat.core import FinSet, PBij, compose
+from pbcat.core import FinSet, InternalContradictionError, PBij, compose
 from pbcat.exact import build_noether_grid
 from pbcat.textio import parse_pbij, serialize_grid, serialize_pbij
 
@@ -58,6 +61,24 @@ def test_sampled_sizes_are_still_deterministic(capsys):
     second = run_cli(capsys, "check-axioms", "--max-size", "4", "--seed", "123")
     assert first == second
     assert "result: PASS (25/25 laws)" in first[1]
+
+
+# sha256 of the stdout of reports whose bytes must not change
+GOLDEN_REPORTS = {
+    ("check-axioms", "--max-size", "6", "--seed", "1"):
+        "2ea20fe1566c69e9599331f1d4bdeb1ec7f8be4ec93d46f7c2b3cb6b9ea739db",
+    ("check-axioms", "--max-size", "3", "--seed", "0"):
+        "37369cbf61264b5778131480f6bf83d0482cf591859be54479068e2e6c8184aa",
+    ("enumerate", "--max-size", "6"):
+        "1d399813929edde46f3ab8b49568cfe4700f2e24481e236bf19964ac9fa36b3d",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
+def test_reports_match_their_pinned_digest(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[argv]
 
 
 def test_check_axioms_passes_and_lists_every_law(capsys):
@@ -256,6 +277,16 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "enumerate", "--max-size", "7")
     assert code == 2 and "max-size" in err
+
+
+def test_internal_contradiction_exits_one_with_a_message(capsys, monkeypatch):
+    def contradict(cfg):
+        raise InternalContradictionError("translation maps are not injective")
+
+    monkeypatch.setitem(cli._COMMANDS, "enumerate", contradict)
+    code, out, err = run_cli(capsys, "enumerate", "--max-size", "2")
+    assert code == 1 and out == ""
+    assert err == "pbcat: internal contradiction: translation maps are not injective\n"
 
 
 def test_usage_errors_exit_two():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pbcat.baer import factorize
 from pbcat.core import (
     FinSet,
     InvalidSubsetError,
@@ -16,6 +17,7 @@ from pbcat.core import (
     partial_identity,
     zero_morphism,
 )
+from pbcat.exact import make_ses
 
 from helpers import fin, pbij_count, universe
 
@@ -70,6 +72,72 @@ def test_pbij_dom_im_follow_declaration_order():
     f = PBij(fin("3 2 1"), fin("a b"), [("1", "a"), ("3", "b")])
     assert f.dom == ("3", "1")
     assert f.im == ("a", "b")
+
+
+def test_pbij_constructor_orders_its_map_by_the_source_and_merges_repeats():
+    f = PBij(fin("1 2 3"), fin("a b c"), [("3", "a"), ("1", "c"), ("3", "a")])
+    assert list(f.items()) == [("1", "c"), ("3", "a")]
+    assert f.graph == frozenset({("1", "c"), ("3", "a")})
+    assert f.dom == ("1", "3") and f.im == ("a", "c")
+
+
+def _results_of_operations(max_size):
+    """Every morphism the operations build from valid ones, over objects of
+    size <= max_size: enumerations, composites, inverses, partial
+    identities, identities and zero morphisms, the canonical short exact
+    sequence arrows, and mono-epi factorizations."""
+    sources = small_objects(max_size)
+    targets = [FinSet("abc"[:n]) for n in range(max_size + 1)]
+    lasts = [FinSet("pqr"[:n]) for n in range(max_size + 1)]
+    for X in sources:
+        yield identity(X)
+        for A in X.subsets():
+            yield partial_identity(X, A)
+            ses = make_ses(X, A)
+            yield ses.alpha
+            yield ses.beta
+        for Y in targets:
+            yield zero_morphism(X, Y)
+            for f in enumerate_pbij(X, Y):
+                yield f
+                yield inverse(f)
+                fact = factorize(f)
+                yield fact.mono
+                yield fact.epi
+                for Z in lasts:
+                    for g in enumerate_pbij(Y, Z):
+                        yield compose(g, f)
+
+
+def test_operation_results_equal_their_validated_reconstruction():
+    seen = 0
+    for h in _results_of_operations(3):
+        ref = PBij(h.source, h.target, h.graph)
+        assert h == ref and ref == h
+        assert hash(h) == hash(ref)
+        assert h.dom == ref.dom == tuple(x for x in h.source if x in {a for a, _ in h.graph})
+        assert h.im == ref.im == tuple(y for y in h.target if y in {b for _, b in h.graph})
+        assert list(h.items()) == list(ref.items())
+        assert [x for x, _ in h.items()] == list(h.dom)
+        seen += 1
+    assert seen > 3000
+
+
+def test_equality_and_hash_ignore_the_order_objects_list_their_tokens():
+    X, X_rev = fin("1 2 3"), fin("3 1 2")
+    Y, Y_rev = fin("a b"), fin("b a")
+    for f in enumerate_pbij(X, Y):
+        g = PBij(X_rev, Y_rev, f.graph)
+        assert f == g and hash(f) == hash(g)
+        assert inverse(f) == inverse(g) and hash(inverse(f)) == hash(inverse(g))
+        assert g.dom == tuple(x for x in X_rev if x in f.dom)
+        assert g.im == tuple(y for y in Y_rev if y in f.im)
+        # composing across differently ordered copies of one object
+        back = compose(inverse(g), f)
+        assert back == partial_identity(X, f.dom)
+        assert back.dom == f.dom
+    assert PBij(X, Y, [("1", "a")]) != PBij(X, Y, [("1", "b")])
+    assert PBij(X, Y, [("1", "a")]) != PBij(X, fin("a b c"), [("1", "a")])
 
 
 def test_compose_pointwise_example():

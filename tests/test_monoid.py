@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import pbcat.monoid as monoid
 from pbcat.core import FinSet, ObjectMismatchError, PBij, classify, compose, identity, inverse
 from pbcat.monoid import (
     AxiomReport,
@@ -298,3 +299,19 @@ def test_wagner_preston_rejects_a_non_associative_table_with_unique_inverses():
     assert not report.associative
     assert report.regular and report.inverses_unique
     assert ("associativity", "a", "a", "b") in report.counterexamples
+
+
+def test_wagner_preston_picks_the_generating_set_once(monkeypatch):
+    table = i_of_n_table(3)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return _generating_set(t)
+
+    monkeypatch.setattr(monoid, "_generating_set", counted)
+    report = verify_inverse_semigroup(table)
+    assert report.generators == tuple(table.elements[g] for g in _generating_set(table))
+    calls.clear()
+    wagner_preston(table)
+    assert calls == [table]
