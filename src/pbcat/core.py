@@ -183,6 +183,16 @@ class PBij:
     def is_zero(self) -> bool:
         return not self._map
 
+    @property
+    def is_mono(self) -> bool:
+        """Left-cancellable: in this category, defined on all of the source."""
+        return len(self._map) == len(self.source)
+
+    @property
+    def is_epi(self) -> bool:
+        """Right-cancellable: in this category, onto all of the target."""
+        return len(self._map) == len(self.target)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PBij):
             return NotImplemented
@@ -289,8 +299,6 @@ def classify(f: PBij) -> Classification:
     In this category a morphism is mono iff its domain is all of the source
     and epi iff its image is all of the target; iso means both.
     """
-    is_mono = len(f._map) == len(f.source)
-    is_epi = len(f._map) == len(f.target)
     if f.source == f.target:
         is_idem = compose(f, f) == f
         is_pid = all(x == y for x, y in f._map.items())
@@ -300,9 +308,9 @@ def classify(f: PBij) -> Classification:
         is_pid = False
         note = "idempotency flags require source = target"
     return Classification(
-        is_mono=is_mono,
-        is_epi=is_epi,
-        is_iso=is_mono and is_epi,
+        is_mono=f.is_mono,
+        is_epi=f.is_epi,
+        is_iso=f.is_mono and f.is_epi,
         is_idempotent=is_idem,
         is_partial_identity=is_pid,
         note=note,

@@ -53,9 +53,9 @@ class ShortExactSeq:
             raise DiagramInvalidError("alpha does not run U -> V")
         if self.beta.source != self.V or self.beta.target != self.W:
             raise DiagramInvalidError("beta does not run V -> W")
-        if not classify(self.alpha).is_mono:
+        if not self.alpha.is_mono:
             raise DiagramInvalidError("alpha is not a monomorphism")
-        if not classify(self.beta).is_epi:
+        if not self.beta.is_epi:
             raise DiagramInvalidError("beta is not an epimorphism")
         if not compose(self.beta, self.alpha).is_zero:
             raise DiagramInvalidError("beta∘alpha is not the zero morphism")
@@ -84,7 +84,7 @@ def is_kernel_of(alpha: PBij, beta: PBij) -> bool:
     complement of dom(beta)."""
     if alpha.target != beta.source:
         raise ObjectMismatchError("alpha.target must equal beta.source")
-    if not classify(alpha).is_mono:
+    if not alpha.is_mono:
         return False
     if not compose(beta, alpha).is_zero:
         return False

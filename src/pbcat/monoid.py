@@ -5,6 +5,7 @@ bijections of its own carrier set."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb, factorial
 from typing import Callable, Sequence
 
 from .core import (
@@ -233,6 +234,11 @@ def verify_inverse_semigroup(table: CayleyTable) -> AxiomReport:
         counterexamples=tuple(witnesses),
         generators=tuple(name[g] for g in generators),
     )
+
+
+def inverse_monoid_size(n: int) -> int:
+    """|I(n)| by the closed form: sum over k of C(n,k)^2 k!."""
+    return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
 
 
 def symmetric_inverse_monoid(X: FinSet) -> list[PBij]:

@@ -5,8 +5,9 @@ import pytest
 from pbcat import cli
 from pbcat.baer import kernel
 from pbcat.cli import RunConfig, main
-from pbcat.core import FinSet, InternalContradictionError, PBij, compose
+from pbcat.core import FinSet, InternalContradictionError, PBij, compose, inverse
 from pbcat.exact import build_noether_grid
+from pbcat.laws import law_names, run_all, run_law
 from pbcat.textio import parse_pbij, serialize_grid, serialize_pbij
 
 from helpers import fin, universe
@@ -79,6 +80,57 @@ def test_reports_match_their_pinned_digest(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[argv]
+
+
+def _empty_compose(g, f):
+    real = compose(g, f)
+    return PBij(real.source, real.target, ())
+
+
+def _swapped_compose(g, f):
+    return compose(f, g) if g.target == f.source else compose(g, f)
+
+
+def _lossy_inverse(f):
+    inv = inverse(f)
+    return PBij(inv.source, inv.target, list(inv.items())[1:])
+
+
+# sha256 of check-axioms --seed 3 stdout under a broken operation; these
+# reports carry per-law case counts at the failure and the witnesses
+FAILING_REPORTS = {
+    ("compose", _empty_compose, "2"):
+        "15b57e5e1e1ffb5ec16988db2474a93c1cc0be9ef371b9e0b17d0cff801066b0",
+    ("compose", _empty_compose, "6"):
+        "7b74c8f8d51303e6585d533e6082d7a9345b036d39a120b573f1c79f1b75b3e5",
+    ("compose", _swapped_compose, "2"):
+        "b8a56b89bfbb1a712681b4fd87667a6a2e609857cccb1aceaef5fb01ed16fe9b",
+    ("compose", _swapped_compose, "6"):
+        "0a9b6ccdb21c820f8a233d411600accc41c762ba3bdc42fe20ae97483f6b9b6a",
+    ("inverse", _lossy_inverse, "2"):
+        "60ba833a51e19b3df16cfd4b23721854cf1b53b3e5f9e4437c0c2b08b4489f9a",
+    ("inverse", _lossy_inverse, "6"):
+        "49f9e76819669bc224fac12c7238fea5065f4da04e200b8e26f5d1d813efa61c",
+}
+
+
+@pytest.mark.parametrize("op, broken, size", list(FAILING_REPORTS),
+                         ids=lambda v: getattr(v, "__name__", v).lstrip("_"))
+def test_failing_reports_match_their_pinned_digest(capsys, monkeypatch, op, broken, size):
+    monkeypatch.setattr(f"pbcat.laws.{op}", broken)
+    code, out, err = run_cli(capsys, "check-axioms", "--max-size", size, "--seed", "3")
+    assert code == 1 and err == ""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == FAILING_REPORTS[op, broken, size]
+
+
+def test_run_all_runs_every_law_in_registry_order():
+    assert run_all(3, 5) == [run_law(name, 3, 5) for name in law_names()]
+
+
+def test_run_law_rejects_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown law 'nope'"):
+        run_law("nope", 3, 0)
 
 
 def test_check_axioms_passes_and_lists_every_law(capsys):

@@ -291,8 +291,9 @@ def test_cancellation_oracle_matches_dom_im_criteria():
             X, Y = universe(a), FinSet(f"y{i}" for i in range(b))
             for f in enumerate_pbij(X, Y):
                 c = classify(f)
-                assert cancellation_oracle(f, "left", probes) == c.is_mono
-                assert cancellation_oracle(f, "right", probes) == c.is_epi
+                assert (c.is_mono, c.is_epi) == (f.is_mono, f.is_epi)
+                assert cancellation_oracle(f, "left", probes) == f.is_mono
+                assert cancellation_oracle(f, "right", probes) == f.is_epi
 
 
 def test_cancellation_oracle_singleton_probe_finds_witness():
