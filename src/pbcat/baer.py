@@ -19,6 +19,7 @@ from .core import (
     ObjectMismatchError,
     PBij,
     _trusted,
+    _trusted_set,
     classify,
     compose,
     enumerate_pbij,
@@ -118,7 +119,7 @@ def factorize(f: PBij) -> Factorization:
     ``epi`` keeps the graph of f but shrinks the target to im(f); ``mono``
     includes im(f) back into the original target.  mono ∘ epi = f.
     """
-    via = FinSet(f.im)
+    via = _trusted_set(f.im)
     mono = _trusted(via, f.target, {y: y for y in via.elements})
     epi = _trusted(f.source, via, f._map)
     return Factorization(mono=mono, epi=epi, via=via)
@@ -169,19 +170,18 @@ def normal_conormal_check(f: PBij) -> NormalityReport:
     of its inverse; an epi by (source, domain) with the cokernel of its own
     annihilator.  Morphisms that are neither mono nor epi are out of scope.
     """
-    c = classify(f)
     normal_ok: bool | None = None
     conormal_ok: bool | None = None
-    if c.is_mono:
+    if f.is_mono:
         k = kernel(annihilator_projection(inverse(f))).arrow
         normal_ok = (f.target == k.target
                      and frozenset(f.im) == frozenset(k.im))
-    if c.is_epi:
+    if f.is_epi:
         q = cokernel(annihilator_projection(f)).arrow
         conormal_ok = (f.source == q.source
                        and frozenset(f.dom) == frozenset(q.dom))
     return NormalityReport(
         normal_ok=normal_ok,
         conormal_ok=conormal_ok,
-        not_applicable=not (c.is_mono or c.is_epi),
+        not_applicable=not (f.is_mono or f.is_epi),
     )

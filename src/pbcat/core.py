@@ -84,21 +84,30 @@ class FinSet:
 
     def intersection(self, other: Iterable[str]) -> "FinSet":
         keep = frozenset(other)
-        return FinSet(e for e in self.elements if e in keep)
+        return _trusted_set(tuple(e for e in self.elements if e in keep))
 
     def difference(self, other: Iterable[str]) -> "FinSet":
         drop = frozenset(other)
-        return FinSet(e for e in self.elements if e not in drop)
+        return _trusted_set(tuple(e for e in self.elements if e not in drop))
 
     def union(self, other: "FinSet") -> "FinSet":
-        extra = tuple(e for e in other if e not in self._as_set)
-        return FinSet(self.elements + extra)
+        extra = tuple(e for e in other.elements if e not in self._as_set)
+        return _trusted_set(self.elements + extra)
 
     def subsets(self) -> Iterator["FinSet"]:
         """All subsets, by size and then by position (deterministic)."""
         for k in range(len(self.elements) + 1):
             for combo in itertools.combinations(self.elements, k):
-                yield FinSet(combo)
+                yield _trusted_set(combo)
+
+
+def _trusted_set(elems: tuple[str, ...]) -> FinSet:
+    """A FinSet over distinct string tokens, without the constructor's checks;
+    the results of set operations on valid FinSets are built here."""
+    s = object.__new__(FinSet)
+    s.elements = elems
+    s._as_set = frozenset(elems)
+    return s
 
 
 class PBij:

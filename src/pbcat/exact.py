@@ -21,7 +21,6 @@ from .core import (
     PBij,
     _subset,
     _trusted,
-    classify,
     compose,
     identity,
     inverse,
@@ -69,14 +68,16 @@ class ShortExactSeq:
         return cls(alpha.source, alpha.target, beta.target, alpha, beta)
 
 
-def make_ses(X: FinSet, X1: Iterable[str]) -> ShortExactSeq:
-    """The canonical sequence 0 -> X1 -> X -> X - X1 -> 0 for X1 ⊆ X."""
-    keep = _subset(X1, X)
+def _quotient_arrows(X: FinSet, keep: Iterable[str]) -> tuple[PBij, PBij]:
+    """The canonical arrows X1 -> X -> X - X1 for a checked X1 = keep ⊆ X."""
     U = X.intersection(keep)
     W = X.difference(keep)
-    alpha = _trusted(U, X, {u: u for u in U.elements})
-    beta = _trusted(X, W, {w: w for w in W.elements})
-    return ShortExactSeq(U=U, V=X, W=W, alpha=alpha, beta=beta)
+    return _trusted(U, X, {u: u for u in U.elements}), _trusted(X, W, {w: w for w in W.elements})
+
+
+def make_ses(X: FinSet, X1: Iterable[str]) -> ShortExactSeq:
+    """The canonical sequence 0 -> X1 -> X -> X - X1 -> 0 for X1 ⊆ X."""
+    return ShortExactSeq.from_arrows(*_quotient_arrows(X, _subset(X1, X)))
 
 
 def is_kernel_of(alpha: PBij, beta: PBij) -> bool:
@@ -146,30 +147,28 @@ class Grid3x3:
                     raise DiagramInvalidError(
                         f"column {c + 1} arrow {s + 1} does not match its endpoint objects")
         for s in range(2):
-            upper = self.row_arrows[s]
-            lower = self.row_arrows[s + 1]
-            if upper is None or lower is None:
-                continue
-            for c in range(2):
-                left = self.col_arrows[s][c]
-                right = self.col_arrows[s][c + 1]
-                if compose(right, upper[c]) != compose(lower[c], left):
-                    raise DiagramInvalidError(
-                        f"square at rows {s + 1}-{s + 2}, columns {c + 1}-{c + 2} "
-                        f"does not commute")
-        for r in range(3):
-            arrows = self.row_arrows[r]
-            if arrows is None:
-                continue
-            try:
-                ShortExactSeq.from_arrows(arrows[0], arrows[1])
-            except DiagramInvalidError as exc:
-                raise DiagramInvalidError(f"row {r + 1} is not exact: {exc}") from None
+            if self.row_arrows[s + 1] is not None:
+                self._check_squares(s, self.row_arrows[s + 1])
+        for r, arrows in enumerate(self.row_arrows):
+            if arrows is not None:
+                _check_exact(f"row {r + 1}", arrows)
         for c in range(3):
-            try:
-                ShortExactSeq.from_arrows(self.col_arrows[0][c], self.col_arrows[1][c])
-            except DiagramInvalidError as exc:
-                raise DiagramInvalidError(f"column {c + 1} is not exact: {exc}") from None
+            _check_exact(f"column {c + 1}", (self.col_arrows[0][c], self.col_arrows[1][c]))
+
+    def _check_squares(self, s: int, lower: tuple[PBij, PBij]) -> None:
+        """The squares from row s (0-based) down to the arrows ``lower`` commute."""
+        upper, level = self.row_arrows[s], self.col_arrows[s]
+        for c in range(2):
+            if compose(level[c + 1], upper[c]) != compose(lower[c], level[c]):
+                raise DiagramInvalidError(
+                    f"square at rows {s + 1}-{s + 2}, columns {c + 1}-{c + 2} does not commute")
+
+
+def _check_exact(label: str, arrows: tuple[PBij, PBij]) -> None:
+    try:
+        ShortExactSeq.from_arrows(*arrows)
+    except DiagramInvalidError as exc:
+        raise DiagramInvalidError(f"{label} is not exact: {exc}") from None
 
 
 def complete_3x3(grid: Grid3x3) -> tuple[PBij, PBij]:
@@ -177,46 +176,37 @@ def complete_3x3(grid: Grid3x3) -> tuple[PBij, PBij]:
 
     The middle-row arrows are conjugated down through the (invertible)
     column arrows: phi = c∘f∘c'⁻¹ and psi = c''∘g∘c⁻¹ with f, g the middle
-    row and c', c, c'' the lower column arrows.  The completion is then
-    re-validated as part of the full grid rather than trusted.
+    row and c', c, c'' the lower column arrows.  The grid is validated once.
+    The completion is checked rather than trusted, but only for what it
+    adds: the two lower squares and the exactness of the bottom row, whose
+    endpoints hold by construction.
     """
     grid.validate()
-    f_mid, g_mid = grid.row_arrows[1]
+    middle = grid.row_arrows[1]
     c_left, c_mid, c_right = grid.col_arrows[1]
-    phi = compose(c_mid, compose(f_mid, inverse(c_left)))
-    psi = compose(c_right, compose(g_mid, inverse(c_mid)))
-    completed = grid.with_bottom_row(phi, psi)
-    completed.validate()
+    phi = compose(c_mid, compose(middle[0], inverse(c_left)))
+    psi = compose(c_right, compose(middle[1], inverse(c_mid)))
+    grid._check_squares(1, (phi, psi))
+    _check_exact("row 3", (phi, psi))
     return phi, psi
 
 
 def build_noether_grid(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> Grid3x3:
-    """The grid whose completion proves the first Noether theorem:
+    """The unvalidated grid whose completion proves the first Noether theorem:
     top row X1 = X1 -> ∅, middle row X2 -> X -> X-X2, columns the three
-    canonical quotient sequences.  Requires X1 ⊆ X2 ⊆ X."""
+    canonical quotient sequences.  Requires X1 ⊆ X2 ⊆ X.  Its arrows are
+    canonical, and :func:`complete_3x3` validates them."""
     x2 = X.intersection(_subset(X2, X, "X2 must be a subset of X"))
     x1 = X.intersection(_subset(X1, x2, "X1 must be a subset of X2"))
     empty = FinSet()
 
-    middle = make_ses(X, x2)
-    col_left = make_ses(x2, x1)
-    col_mid = make_ses(X, x1)
-    col_right = make_ses(middle.W, empty)
-
-    objects = (
-        (x1, x1, empty),
-        (x2, X, middle.W),
-        (col_left.W, col_mid.W, col_right.W),
-    )
-    row_arrows = (
-        (identity(x1), zero_morphism(x1, empty)),
-        (middle.alpha, middle.beta),
-        None,
-    )
-    col_arrows = (
-        (col_left.alpha, col_mid.alpha, col_right.alpha),
-        (col_left.beta, col_mid.beta, col_right.beta),
-    )
+    middle = _quotient_arrows(X, x2)
+    columns = (_quotient_arrows(x2, x1), _quotient_arrows(X, x1),
+               _quotient_arrows(middle[1].target, ()))
+    col_arrows = tuple(zip(*columns))
+    objects = ((x1, x1, empty), (x2, X, middle[1].target),
+               tuple(arrow.target for arrow in col_arrows[1]))
+    row_arrows = ((identity(x1), zero_morphism(x1, empty)), middle, None)
     return Grid3x3(objects=objects, row_arrows=row_arrows, col_arrows=col_arrows)
 
 
@@ -227,19 +217,18 @@ def noether_first(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     its epi with the inverse of the canonical quotient of its mono yields
     the isomorphism, which must be the identity relation on X-X2.
     """
-    x2 = X.intersection(_subset(X2, X, "X2 must be a subset of X"))
-    x1 = X.intersection(_subset(X1, x2, "X1 must be a subset of X2"))
+    grid = build_noether_grid(X, X1, X2)
+    x1, x2 = grid.objects[0][0], grid.objects[1][0]
     lhs = X.difference(x1).difference(x2.difference(x1))
     rhs = X.difference(x2)
     if lhs != rhs:
         raise InternalContradictionError(
             f"first quotient identity failed: {lhs!r} vs {rhs!r}")
 
-    grid = build_noether_grid(X, x1, x2)
     phi, psi = complete_3x3(grid)
     quotient = cokernel(phi).arrow
     iso = compose(psi, inverse(quotient))
-    if not classify(iso).is_iso or any(x != y for x, y in iso.graph):
+    if not (iso.is_mono and iso.is_epi) or any(x != y for x, y in iso.graph):
         raise InternalContradictionError(
             f"grid route disagrees with the set identity: {iso!r}")
     return iso
@@ -268,7 +257,7 @@ def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
         raise InternalContradictionError("kernel of the restricted quotient is not X1∩X2")
     quotient = cokernel(ker.arrow).arrow
     iso = compose(gamma, inverse(quotient))
-    if not classify(iso).is_iso or any(x != y for x, y in iso.graph):
+    if not (iso.is_mono and iso.is_epi) or any(x != y for x, y in iso.graph):
         raise InternalContradictionError(
             f"categorical route disagrees with the set identity: {iso!r}")
     return iso

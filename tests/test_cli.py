@@ -280,6 +280,15 @@ def test_grid33_rejects_a_mathematically_broken_grid(capsys, tmp_path):
     assert "invalid diagram" in err
 
 
+def test_grid33_rejects_a_completion_made_with_a_lossy_inverse(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text(serialize_grid(build_noether_grid(universe(4), fin("1"), fin("1 2"))))
+    monkeypatch.setattr("pbcat.exact.inverse", _lossy_inverse)
+    code, out, err = run_cli(capsys, "grid33", str(path))
+    assert (code, out) == (1, "")
+    assert err == "pbcat: invalid diagram: square at rows 2-3, columns 1-2 does not commute\n"
+
+
 def test_wagner_preston_accepts_and_embeds(capsys, tmp_path):
     path = tmp_path / "z2.tbl"
     path.write_text("semigroup Z2 = e a\ne: e a\na: a e\n\n")

@@ -82,26 +82,33 @@ def test_pbij_constructor_orders_its_map_by_the_source_and_merges_repeats():
 
 
 def _results_of_operations(max_size):
-    """Every morphism the operations build from valid ones, over objects of
-    size <= max_size: enumerations, composites, inverses, partial
-    identities, identities and zero morphisms, the canonical short exact
-    sequence arrows, and mono-epi factorizations."""
+    """Every morphism and set the operations build from valid ones, over
+    objects of size <= max_size: enumerations, composites, inverses,
+    partial identities, identities and zero morphisms, the canonical short
+    exact sequence arrows, and mono-epi factorizations; subsets,
+    intersections, differences and unions."""
     sources = small_objects(max_size)
     targets = [FinSet("abc"[:n]) for n in range(max_size + 1)]
     lasts = [FinSet("pqr"[:n]) for n in range(max_size + 1)]
     for X in sources:
         yield identity(X)
         for A in X.subsets():
+            yield A
+            yield X.intersection(reversed(A.elements))
+            yield X.difference(A)
+            yield A.union(X)
             yield partial_identity(X, A)
             ses = make_ses(X, A)
             yield ses.alpha
             yield ses.beta
         for Y in targets:
+            yield X.union(Y)
             yield zero_morphism(X, Y)
             for f in enumerate_pbij(X, Y):
                 yield f
                 yield inverse(f)
                 fact = factorize(f)
+                yield fact.via
                 yield fact.mono
                 yield fact.epi
                 for Z in lasts:
@@ -112,13 +119,19 @@ def _results_of_operations(max_size):
 def test_operation_results_equal_their_validated_reconstruction():
     seen = 0
     for h in _results_of_operations(3):
-        ref = PBij(h.source, h.target, h.graph)
-        assert h == ref and ref == h
-        assert hash(h) == hash(ref)
-        assert h.dom == ref.dom == tuple(x for x in h.source if x in {a for a, _ in h.graph})
-        assert h.im == ref.im == tuple(y for y in h.target if y in {b for _, b in h.graph})
-        assert list(h.items()) == list(ref.items())
-        assert [x for x, _ in h.items()] == list(h.dom)
+        if isinstance(h, FinSet):
+            ref = FinSet(h.elements)
+            assert h == ref and ref == h and hash(h) == hash(ref)
+            assert list(h) == list(ref) and len(h) == len(ref)
+            assert all(e in h for e in ref) and h.issubset(ref) and ref.issubset(h)
+        else:
+            ref = PBij(h.source, h.target, h.graph)
+            assert h == ref and ref == h
+            assert hash(h) == hash(ref)
+            assert h.dom == ref.dom == tuple(x for x in h.source if x in {a for a, _ in h.graph})
+            assert h.im == ref.im == tuple(y for y in h.target if y in {b for _, b in h.graph})
+            assert list(h.items()) == list(ref.items())
+            assert [x for x, _ in h.items()] == list(h.dom)
         seen += 1
     assert seen > 3000
 

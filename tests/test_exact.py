@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from pbcat.baer import cokernel
@@ -7,7 +9,9 @@ from pbcat.core import (
     ObjectMismatchError,
     PBij,
     classify,
+    compose,
     identity,
+    inverse,
     partial_identity,
     zero_morphism,
 )
@@ -189,6 +193,77 @@ def test_complete_3x3_refuses_an_invalid_grid():
     bad = Grid3x3(g.objects, (broken_top, g.row_arrows[1], None), g.col_arrows)
     with pytest.raises(DiagramInvalidError):
         complete_3x3(bad)
+
+
+def _lossy_inverse(f):
+    inv = inverse(f)
+    return PBij(inv.source, inv.target, list(inv.items())[1:])
+
+
+def _lossy_compose(g, f):
+    gf = compose(g, f)
+    pairs = list(gf.items())
+    return PBij(gf.source, gf.target, pairs[:-1] if len(pairs) > 1 else pairs)
+
+
+# how complete_3x3 ends on the 81 Noether grids of universe(4) when one
+# operation is broken; every given grid still validates, so each failure
+# is caught by the check of the completion
+BROKEN_COMPLETIONS = {
+    ("inverse", _lossy_inverse): {
+        "square at rows 2-3, columns 1-2 does not commute": 65,
+        "square at rows 2-3, columns 2-3 does not commute": 15,
+        "completed": 1,
+    },
+    ("compose", _lossy_compose): {
+        "square at rows 2-3, columns 1-2 does not commute": 9,
+        "square at rows 2-3, columns 2-3 does not commute": 9,
+        "row 3 is not exact: alpha is not a monomorphism": 24,
+        "row 3 is not exact: beta is not an epimorphism": 18,
+        "completed": 21,
+    },
+}
+
+
+@pytest.mark.parametrize("op, broken", list(BROKEN_COMPLETIONS),
+                         ids=lambda v: getattr(v, "__name__", v).lstrip("_"))
+def test_complete_3x3_checks_what_the_completion_adds(monkeypatch, op, broken):
+    monkeypatch.setattr(f"pbcat.exact.{op}", broken)
+    outcomes = Counter()
+    for X, X1, X2 in chains(4):
+        grid = build_noether_grid(X, X1, X2)
+        grid.validate()
+        try:
+            complete_3x3(grid)
+            outcomes["completed"] += 1
+        except DiagramInvalidError as exc:
+            outcomes[str(exc)] += 1
+    assert outcomes == BROKEN_COMPLETIONS[op, broken]
+
+
+def test_each_sequence_of_a_noether_grid_is_checked_once(monkeypatch):
+    counts = {"sequences": 0, "validations": 0}
+
+    def counting(cls, name, key):
+        real = getattr(cls, name)
+
+        def counted(self):
+            counts[key] += 1
+            return real(self)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(ShortExactSeq, "__post_init__", "sequences")
+    counting(Grid3x3, "validate", "validations")
+    X, X1, X2 = universe(4), fin("1"), fin("1 2")
+    grid = build_noether_grid(X, X1, X2)
+    assert not grid.has_bottom_row
+    assert counts == {"sequences": 0, "validations": 0}
+    # three rows and three columns
+    complete_3x3(grid)
+    assert counts == {"sequences": 6, "validations": 1}
+    counts.update(sequences=0, validations=0)
+    noether_first(X, X1, X2)
+    assert counts == {"sequences": 6, "validations": 1}
 
 
 def test_noether_first_frozen_example():
