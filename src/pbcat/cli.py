@@ -10,6 +10,7 @@ failed post-verification, rejected table), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -253,7 +254,14 @@ _COMMANDS: dict[str, Callable[[RunConfig], tuple[list[str], int]]] = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call.
+
+    Building it costs more than answering a typical file request.  argparse
+    returns a fresh Namespace per parse and looks up ``sys.stdout`` and
+    ``sys.stderr`` only when it prints, so reuse changes no output.
+    """
     parser = argparse.ArgumentParser(
         prog="pbcat",
         description="Finite partial bijections: law checking, enumeration, "

@@ -18,6 +18,7 @@ failure ends the law, and the reported count includes that step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -78,14 +79,18 @@ def _failure_if(broken: bool, description: str, **morphisms: PBij) -> Failure | 
     return (description, morphisms) if broken else None
 
 
+# the fixed objects every sweep draws on, each built once
+@functools.cache
 def _src(n: int) -> FinSet:
     return FinSet(str(i) for i in range(1, n + 1))
 
 
+@functools.cache
 def _tgt(n: int) -> FinSet:
     return FinSet("abcdef"[i] for i in range(n))
 
 
+@functools.cache
 def _mid(n: int) -> FinSet:
     return FinSet("uvwxyz"[i] for i in range(n))
 

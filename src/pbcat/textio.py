@@ -43,17 +43,23 @@ def format_set(X: FinSet) -> str:
     return " ".join(X.elements) if len(X) else "∅"
 
 
-def _check_token(token: str, what: str) -> str:
-    if not token or token.split() != [token]:
-        raise ValueError(f"{what} {token!r} is empty or contains whitespace")
+def _unambiguous(token: str, what: str) -> str:
+    """Check a token that ``str.split()`` produced, so is already non-empty
+    and free of whitespace: only ":" and "->" remain to rule out."""
     if ":" in token or token == "->":
         raise ValueError(f"{what} {token!r} would be ambiguous in the text format")
     return token
 
 
+def _check_token(token: str, what: str) -> str:
+    if not token or token.split() != [token]:
+        raise ValueError(f"{what} {token!r} is empty or contains whitespace")
+    return _unambiguous(token, what)
+
+
 def _parse_token(token: str, what: str, line: int) -> str:
     try:
-        return _check_token(token, what)
+        return _unambiguous(token, what)
     except ValueError as exc:
         raise ParseError(line, str(exc)) from None
 
@@ -147,8 +153,8 @@ def parse_pbij(text: str) -> tuple[str, PBij]:
     split = rest.index("->")
     lineno = cursor.lineno
     try:
-        source = FinSet(_check_token(t, "element") for t in rest[:split])
-        target = FinSet(_check_token(t, "element") for t in rest[split + 1:])
+        source = FinSet(_unambiguous(t, "element") for t in rest[:split])
+        target = FinSet(_unambiguous(t, "element") for t in rest[split + 1:])
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
     pairs = _parse_pairs(cursor, stop_keywords=())
@@ -265,7 +271,7 @@ def parse_grid(text: str) -> Grid3x3:
             raise ParseError(cursor.lineno, f"object {tokens[1]},{tokens[2]} given twice")
         lineno = cursor.lineno
         try:
-            objects[cell] = FinSet(_check_token(t, "element") for t in tokens[4:])
+            objects[cell] = FinSet(_unambiguous(t, "element") for t in tokens[4:])
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
 

@@ -357,3 +357,26 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def test_the_parser_is_built_once_and_reuse_changes_no_output(capsys, tmp_path):
+    path = tmp_path / "f.pbij"
+    path.write_text(serialize_pbij(PBij(fin("1 2 3"), fin("a"), [("1", "a")]), "f"))
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    requests = (["kernel"], ["--help"], ["kernel", str(path)], ["kernel"])
+    first = [outcome(argv) for argv in requests]
+    assert [code for code, _, _ in first] == [2, 0, 0, 2]
+    assert first[0][2].startswith("usage: pbcat kernel") and first[0][1] == ""
+    assert first[1][1].startswith("usage: pbcat") and first[1][2] == ""
+    assert "result: PASS" in first[2][1]
+    assert first[3] == first[0]
+    assert [outcome(argv) for argv in requests] == first
+    assert cli._parser() is cli._parser()
