@@ -87,6 +87,20 @@ class CayleyTable:
         return cls(elems, table)
 
 
+def _trusted_table(elements: tuple[str, ...],
+                   product: tuple[tuple[int, ...], ...]) -> CayleyTable:
+    """A CayleyTable without the constructor's checks.
+
+    ``elements`` must be distinct and ``product`` a tuple of n tuples of n
+    indices in ``range(n)``; the caller owns that promise.  The parser of
+    the text format builds its tables here, since reading them proved it.
+    """
+    table = object.__new__(CayleyTable)
+    object.__setattr__(table, "elements", elements)
+    object.__setattr__(table, "product", product)
+    return table
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of the inverse-semigroup axiom sweep over a table.
@@ -160,6 +174,11 @@ def verify_inverse_semigroup(table: CayleyTable) -> AxiomReport:
     """Check associativity, regularity, commuting idempotents, and inverse
     uniqueness on the table.
 
+    The table's shape (distinct names, n rows of n indices in range) is
+    taken as given: the public :class:`CayleyTable` constructor checks it,
+    and the text parser proves it while reading.  Each axiom is then
+    checked here once.
+
     Associativity uses Light's test: ``(x*g)*y == x*(g*y)`` is checked for
     every x and y but only for g in a greedy generating set (see
     :func:`_generating_set`).  The elements that pass it are closed under
@@ -167,7 +186,9 @@ def verify_inverse_semigroup(table: CayleyTable) -> AxiomReport:
     the test is exact, and each failing ``(x, g, y)`` is a genuine
     ``associativity`` witness.  A non-associative table therefore lists
     only the failing triples whose middle element is a generator.  The
-    other axioms are checked by exhausting the table.
+    other axioms are checked by exhausting the table; the quasi-inverse
+    search over all n² pairs (a, b) reads its products straight from the
+    rows.
 
     Products in words like aba are taken left to right, which only matters
     while associativity is still in question.  If the table is associative
@@ -194,8 +215,9 @@ def verify_inverse_semigroup(table: CayleyTable) -> AxiomReport:
                                  for y in range(n) if left[y] != right[y])
 
     def quasi_inverses(a: int) -> list[int]:
+        row_a = p[a]
         return [b for b in range(n)
-                if mul(mul(a, b), a) == a and mul(mul(b, a), b) == b]
+                if p[row_a[b]][a] == a and p[p[b][a]][b] == b]
 
     regular = True
     inverses_unique = True

@@ -22,11 +22,12 @@ parse(serialize(x)) returns a value equal to x for all three formats.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .core import FinSet, PBij
 from .exact import Grid3x3
-from .monoid import CayleyTable
+from .monoid import CayleyTable, _trusted_table
 
 
 class ParseError(ValueError):
@@ -55,6 +56,18 @@ def _check_token(token: str, what: str) -> str:
     if not token or token.split() != [token]:
         raise ValueError(f"{what} {token!r} is empty or contains whitespace")
     return _unambiguous(token, what)
+
+
+@functools.lru_cache(maxsize=64)
+def _joined(elements: tuple[str, ...]) -> str:
+    """The element tokens of one printed object, checked and joined by
+    spaces.  A report prints the same object many times (a Wagner-Preston
+    report prints its carrier twice per element), so the last few element
+    tuples are remembered; the bound keeps a long run from holding every
+    object it ever printed."""
+    for e in elements:
+        _check_token(e, "element")
+    return " ".join(elements)
 
 
 def _parse_token(token: str, what: str, line: int) -> str:
@@ -100,12 +113,10 @@ class _Lines:
 def serialize_pbij(f: PBij, name: str = "f") -> str:
     """One header line, one line per graph pair (source order), blank line."""
     _check_token(name, "morphism name")
-    for e in (*f.source.elements, *f.target.elements):
-        _check_token(e, "element")
-    header = (f"pbij {name} : {' '.join(f.source.elements)} "
-              f"-> {' '.join(f.target.elements)}")
+    header = " ".join(filter(None, ("pbij", name, ":", _joined(f.source.elements),
+                                    "->", _joined(f.target.elements))))
     body = "".join(f"{x} -> {y}\n" for x, y in f.items())
-    return " ".join(header.split()) + "\n" + body + "\n"
+    return header + "\n" + body + "\n"
 
 
 def _parse_pairs(cursor: _Lines, stop_keywords: Sequence[str]) -> list[tuple[str, str]]:
@@ -166,9 +177,7 @@ def parse_pbij(text: str) -> tuple[str, PBij]:
 def serialize_cayley(table: CayleyTable, name: str = "S") -> str:
     """Header with the element list, then one product row per element."""
     _check_token(name, "semigroup name")
-    for e in table.elements:
-        _check_token(e, "element")
-    lines = [f"semigroup {name} = {' '.join(table.elements)}".rstrip()]
+    lines = [f"semigroup {name} = {_joined(table.elements)}".rstrip()]
     for i, e in enumerate(table.elements):
         row = " ".join(table.elements[j] for j in table.product[i])
         lines.append(f"{e}: {row}".rstrip())
@@ -176,7 +185,15 @@ def serialize_cayley(table: CayleyTable, name: str = "S") -> str:
 
 
 def parse_cayley(text: str) -> tuple[str, CayleyTable]:
-    """Parse a Cayley table record; returns (name, table)."""
+    """Parse a Cayley table record; returns (name, table).
+
+    Each fact about the table's shape is checked once, here, while reading:
+    the header names are distinct tokens, there is one labelled row per
+    name, each row has n entries, and each entry is a known name, found
+    with one index lookup.  The table is then built without the
+    :class:`CayleyTable` constructor's re-check of the same facts.  The
+    algebra is left to :func:`pbcat.monoid.verify_inverse_semigroup`.
+    """
     cursor = _Lines(text)
     header = cursor.next_content()
     if header is None:
@@ -204,11 +221,12 @@ def parse_cayley(text: str) -> tuple[str, CayleyTable]:
         if len(entries) != len(elements):
             raise ParseError(cursor.lineno,
                              f"row {e!r} has {len(entries)} entries, expected {len(elements)}")
-        for t in entries:
-            if t not in index:
-                raise ParseError(cursor.lineno, f"unknown element {t!r} in row {e!r}")
-        rows.append(tuple(index[t] for t in entries))
-    table = CayleyTable(elements, tuple(rows))
+        try:
+            rows.append(tuple(map(index.__getitem__, entries)))
+        except KeyError as exc:  # the first unknown entry of the row
+            raise ParseError(cursor.lineno,
+                             f"unknown element {exc.args[0]!r} in row {e!r}") from None
+    table = _trusted_table(elements, tuple(rows))
     cursor.expect_end("the table")
     return name, table
 
@@ -223,10 +241,8 @@ def serialize_grid(grid: Grid3x3) -> str:
     chunks = []
     for r in range(3):
         for c in range(3):
-            X = grid.objects[r][c]
-            for e in X.elements:
-                _check_token(e, "element")
-            chunks.append(" ".join(["object", str(r + 1), str(c + 1), "=", *X.elements]))
+            tokens = _joined(grid.objects[r][c].elements)
+            chunks.append(f"object {r + 1} {c + 1} = {tokens}".rstrip())
     chunks.append("")
 
     def emit(src: tuple[int, int], dst: tuple[int, int], arrow: PBij) -> None:

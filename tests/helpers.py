@@ -2,7 +2,8 @@
 
 from math import comb, factorial
 
-from pbcat.core import FinSet
+from pbcat.core import FinSet, compose
+from pbcat.monoid import CayleyTable, symmetric_inverse_monoid
 
 
 def fin(text: str) -> FinSet:
@@ -21,3 +22,13 @@ def pbij_count(n: int, m: int) -> int:
     """
     return sum(comb(n, k) * comb(m, k) * factorial(k)
                for k in range(min(n, m) + 1))
+
+
+def i_of_n_table(points: int) -> CayleyTable:
+    """Cayley table of the symmetric inverse monoid on the given number of points."""
+    elems = symmetric_inverse_monoid(universe(points))
+    names = [f"m{i}" for i in range(len(elems))]
+    by_value = {f: names[i] for i, f in enumerate(elems)}
+    lookup = {n: f for n, f in zip(names, elems)}
+    return CayleyTable.from_operation(
+        names, lambda a, b: by_value[compose(lookup[a], lookup[b])])

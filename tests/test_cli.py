@@ -2,15 +2,15 @@ import hashlib
 
 import pytest
 
-from pbcat import cli
+from pbcat import cli, textio
 from pbcat.baer import kernel
 from pbcat.cli import RunConfig, main
 from pbcat.core import FinSet, InternalContradictionError, PBij, compose, inverse
 from pbcat.exact import build_noether_grid
 from pbcat.laws import law_names, run_all, run_law
-from pbcat.textio import parse_pbij, serialize_grid, serialize_pbij
+from pbcat.textio import parse_pbij, serialize_cayley, serialize_grid, serialize_pbij
 
-from helpers import fin, universe
+from helpers import fin, i_of_n_table, universe
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +80,31 @@ def test_reports_match_their_pinned_digest(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[argv]
+
+
+# sha256 of wagner-preston stdout, with the exit code, on Cayley tables
+# whose reports must not change
+WAGNER_PRESTON_REPORTS = {
+    "I3": (lambda: serialize_cayley(i_of_n_table(3)), 0,
+           "709b702cbb93ccc100d1dd70b4a6abeca24ffefcce4e0ab0bf9f49f35f888709"),
+    "I4": (lambda: serialize_cayley(i_of_n_table(4)), 0,
+           "66274a95a2fba3a25f93a0667b52ce95f74ffec0d9ece506ac376ef025007957"),
+    "left-zero": (lambda: "semigroup LZ = a b\na: a a\nb: b b\n\n", 1,
+                  "657f1bd726e85c93242926d9e727fe5d3886866c6797e09a0f56d434dcad27fb"),
+    "non-associative-unique-inverses": (
+        lambda: "semigroup Q = z a b\nz: z z z\na: z z b\nb: z a z\n\n", 1,
+        "9873333bcb17d6da8d8c52d44caeb7e4c8bb0110db9da81a15a8cb8227930509"),
+}
+
+
+@pytest.mark.parametrize("table", list(WAGNER_PRESTON_REPORTS))
+def test_wagner_preston_reports_match_their_pinned_digest(capsys, tmp_path, table):
+    text, expected_code, digest = WAGNER_PRESTON_REPORTS[table]
+    path = tmp_path / "table.txt"
+    path.write_text(text())
+    code, out, err = run_cli(capsys, "wagner-preston", str(path))
+    assert code == expected_code and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def _empty_compose(g, f):
@@ -320,6 +345,24 @@ def test_wagner_preston_rejects_a_non_associative_table_with_unique_inverses(
     assert "unique-inverses: true" in out
     assert "witness: associativity a a b" in out
     assert "result: FAIL not an inverse semigroup" in out
+
+
+def test_wagner_preston_checks_each_printed_token_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "i3.txt"
+    path.write_text(serialize_cayley(i_of_n_table(3)))
+    checked = []
+
+    def counted(token, what):
+        checked.append(token)
+        return check(token, what)
+
+    check = textio._check_token
+    monkeypatch.setattr(textio, "_check_token", counted)
+    textio._joined.cache_clear()
+    code, out, _ = run_cli(capsys, "wagner-preston", str(path))
+    assert code == 0 and out.count("pbij theta_") == 34
+    # 34 morphism names, then the 34 carrier tokens once for the whole report
+    assert len(checked) == 34 + 34
 
 
 def test_malformed_inputs_exit_two(capsys, tmp_path):

@@ -18,7 +18,7 @@ from pbcat.monoid import (
     wagner_preston,
 )
 
-from helpers import fin, pbij_count, universe
+from helpers import fin, i_of_n_table, pbij_count, universe
 
 
 Z2 = CayleyTable(("e", "a"), ((0, 1), (1, 0)))
@@ -33,16 +33,6 @@ NON_ASSOC_UNIQUE = CayleyTable(("z", "a", "b"), ((0, 0, 0), (0, 0, 2), (0, 1, 0)
 def i_of_2_table():
     """Cayley table of the 7-element symmetric inverse monoid on two points."""
     return i_of_n_table(2)
-
-
-def i_of_n_table(points):
-    """Cayley table of the symmetric inverse monoid on the given number of points."""
-    elems = symmetric_inverse_monoid(universe(points))
-    names = [f"m{i}" for i in range(len(elems))]
-    by_value = {f: names[i] for i, f in enumerate(elems)}
-    lookup = {n: f for n, f in zip(names, elems)}
-    return CayleyTable.from_operation(
-        names, lambda a, b: by_value[compose(lookup[a], lookup[b])])
 
 
 def test_table_shape_validation():
@@ -222,6 +212,35 @@ def brute_closure(table, generators):
         closed = grown
 
 
+def brute_other_axioms(table):
+    """The flags, inverse map and non-associativity witnesses of the other
+    three axioms, from ``mul_index`` alone, words taken left to right."""
+    n, mul, name = len(table), table.mul_index, table.elements
+    witnesses = []
+    inverse_map = {}
+    for a in range(n):
+        invs = [b for b in range(n)
+                if mul(mul(a, b), a) == a and mul(mul(b, a), b) == b]
+        if not invs:
+            witnesses.append(("regularity", name[a]))
+        elif len(invs) > 1:
+            witnesses.append(("unique-inverse", name[a], name[invs[0]], name[invs[1]]))
+        else:
+            inverse_map[name[a]] = name[invs[0]]
+    idempotents = [e for e in range(n) if mul(e, e) == e]
+    witnesses.extend(("commuting-idempotents", name[e], name[f])
+                     for e, f in itertools.combinations(idempotents, 2)
+                     if mul(e, f) != mul(f, e))
+    unique = len(inverse_map) == n
+    return {
+        "regular": all(w[0] != "regularity" for w in witnesses),
+        "inverses_unique": unique,
+        "inverse_map": inverse_map if unique else None,
+        "idempotents_commute": all(w[0] != "commuting-idempotents" for w in witnesses),
+        "witnesses": witnesses,
+    }
+
+
 def assert_agrees_with_brute_force(table):
     n = len(table)
     generators = _generating_set(table)
@@ -244,6 +263,13 @@ def assert_agrees_with_brute_force(table):
                          if y in generators]
     for a, b, c in witnesses:
         assert table.mul(table.mul(a, b), c) != table.mul(a, table.mul(b, c))
+    brute = brute_other_axioms(table)
+    assert report.regular == brute["regular"]
+    assert report.inverses_unique == brute["inverses_unique"]
+    assert report.inverse_map == brute["inverse_map"]
+    assert report.idempotents_commute == brute["idempotents_commute"]
+    assert [w for w in report.counterexamples if w[0] != "associativity"] \
+        == brute["witnesses"]
 
 
 def test_generator_checks_agree_with_brute_force_on_every_small_magma():

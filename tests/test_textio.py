@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from pbcat.cli import main
 from pbcat.core import FinSet, PBij, enumerate_pbij
 from pbcat.exact import build_noether_grid, complete_3x3
 from pbcat.monoid import CayleyTable
@@ -89,6 +91,18 @@ def test_cayley_frozen_text_and_round_trip():
     assert text == "semigroup Z2 = e a\ne: e a\na: a e\n\n"
     name, back = parse_cayley(text)
     assert name == "Z2" and back == z2
+
+
+def test_parse_cayley_does_not_recheck_what_it_read(monkeypatch):
+    text = serialize_cayley(CayleyTable(("e", "a"), ((0, 1), (1, 0))), "Z2")
+
+    def refuse(self):
+        raise AssertionError("the parsed table was validated a second time")
+
+    monkeypatch.setattr(CayleyTable, "__post_init__", refuse)
+    name, table = parse_cayley(text)
+    assert name == "Z2"
+    assert (table.elements, table.product) == (("e", "a"), ((0, 1), (1, 0)))
 
 
 def test_cayley_round_trip_empty_table():
@@ -180,3 +194,80 @@ def test_parse_grid_rejects_half_a_bottom_row():
     end = text.index("arrow (3,2)->(3,3):")
     with pytest.raises(ParseError, match="both arrows or neither"):
         parse_grid(text[:start] + text[end:])
+
+
+# -- parse_cayley against seeded mutations of serialized tables --------------
+
+def _random_table(rng, n):
+    names = rng.sample([f"e{i}" for i in range(12)], n)
+    rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    return CayleyTable(names, rows)
+
+
+def _mutate(rng, kind, table):
+    """One serialized table with one defect of the given kind."""
+    lines = serialize_cayley(table, "S").split("\n")
+    names, n = table.elements, len(table)
+    i = 1 + rng.randrange(n)  # a row line
+    row = lines[i].split()
+    if kind == "unknown entry":  # one or two, and the first one is reported
+        for j, token in zip(rng.sample(range(n), rng.randint(1, 2)), ("zz", "zy")):
+            row[1 + j] = token
+    elif kind == "known entry":
+        row[1 + rng.randrange(n)] = rng.choice(names)
+    elif kind == "short row":
+        row.pop()
+    elif kind == "long row":
+        row.append(rng.choice(names))
+    elif kind == "duplicate name":
+        header = lines[0].split()
+        k, m = rng.sample(range(n), 2)
+        header[3 + k] = names[m]
+        lines[0] = " ".join(header)
+    elif kind == "missing row":
+        del lines[i]
+        return "\n".join(lines)
+    elif kind == "wrong row label":
+        other = rng.choice([e for e in names if e != names[i - 1]])
+        row[0] = rng.choice([f"{other}:", "zz:", names[i - 1]])
+    elif kind == "trailing content":
+        lines.append(rng.choice(["extra", "e0: e0", "semigroup T = a"]))
+    lines[i] = " ".join(row)
+    return "\n".join(lines)
+
+
+MUTATION_KINDS = ("unknown entry", "known entry", "short row", "long row",
+                  "duplicate name", "missing row", "wrong row label", "trailing content")
+
+
+def _mutated_tables():
+    rng = random.Random(20260707)
+    for _ in range(40):
+        table = _random_table(rng, rng.randint(2, 6))
+        for kind in MUTATION_KINDS:
+            yield kind, _mutate(rng, kind, table)
+
+
+def test_mutated_cayley_texts_parse_to_valid_tables_or_fail_as_before(capsys, tmp_path):
+    outcomes = []
+    path = tmp_path / "table.txt"
+    for kind, text in _mutated_tables():
+        try:
+            _, table = parse_cayley(text)
+        except ParseError as exc:
+            outcomes.append(f"{kind}: line {exc.line}: {exc.message}")
+            path.write_text(text)
+            assert main(["wagner-preston", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"pbcat: parse error: {exc}\n"
+        else:
+            # the rebuild holds tuples, and a list never equals a tuple
+            rebuilt = CayleyTable(table.elements, table.product)
+            assert (table.elements, table.product) == (rebuilt.elements, rebuilt.product)
+            outcomes.append(f"{kind}: parsed")
+    assert [o for o in outcomes if o.endswith("parsed")] == ["known entry: parsed"] * 40
+    # the outcome of every text, messages included, as the parser gave them
+    # before it built its tables unchecked
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "211e0240a08fe941d0726b1e2da0aec0c2b551c633b8bb1d336b9ac01276abd5"
