@@ -33,6 +33,7 @@ from .laws import LawResult, law_names, run_law
 from .monoid import NotInverseSemigroupError, inverse_monoid_size, wagner_preston
 from .textio import (
     ParseError,
+    _unambiguous,
     format_set,
     parse_cayley,
     parse_grid,
@@ -176,8 +177,9 @@ def _cmd_factorize(cfg: RunConfig) -> tuple[list[str], int]:
 
 
 def _token_set(text: str, label: str) -> FinSet:
+    """The set an option names; its tokens must print back unambiguously."""
     try:
-        return FinSet.from_tokens(text)
+        return FinSet(_unambiguous(t, "element") for t in text.split())
     except ValueError as exc:
         raise ParseError(0, f"bad {label}: {exc}") from None
 

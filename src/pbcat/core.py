@@ -83,16 +83,16 @@ class FinSet:
         return self._as_set <= other._as_set
 
     def intersection(self, other: Iterable[str]) -> "FinSet":
-        keep = frozenset(other)
-        return _trusted_set(tuple(e for e in self.elements if e in keep))
+        keep = other._as_set if isinstance(other, FinSet) else frozenset(other)
+        return _trusted_set(tuple([e for e in self.elements if e in keep]))
 
     def difference(self, other: Iterable[str]) -> "FinSet":
-        drop = frozenset(other)
-        return _trusted_set(tuple(e for e in self.elements if e not in drop))
+        drop = other._as_set if isinstance(other, FinSet) else frozenset(other)
+        return _trusted_set(tuple([e for e in self.elements if e not in drop]))
 
     def union(self, other: "FinSet") -> "FinSet":
-        extra = tuple(e for e in other.elements if e not in self._as_set)
-        return _trusted_set(self.elements + extra)
+        mine = self._as_set
+        return _trusted_set(self.elements + tuple([e for e in other.elements if e not in mine]))
 
     def subsets(self) -> Iterator["FinSet"]:
         """All subsets, by size and then by position (deterministic)."""
@@ -122,13 +122,15 @@ class PBij:
     identities, canonical arrows) are valid by construction and are built
     by :func:`_trusted`, which skips the checks.
 
-    ``graph``, ``dom``, ``im`` and the hash are derived on first use.  Two
+    ``graph``, ``dom``, ``im``, the hash and the inverse are derived on
+    first use and kept.  An inverse is not linked back to its morphism:
+    inverting it again builds a new morphism equal to the original.  Two
     morphisms are equal iff source, target, and map all agree, whatever
     order their objects list their tokens in; Hom-sets over distinct
     object pairs are therefore disjoint.
     """
 
-    __slots__ = ("source", "target", "_map", "_graph", "_dom", "_im", "_hash")
+    __slots__ = ("source", "target", "_map", "_graph", "_dom", "_im", "_hash", "_inverse")
 
     def __init__(self, source: FinSet, target: FinSet,
                  pairs: Iterable[tuple[str, str]] = ()):
@@ -150,7 +152,7 @@ class PBij:
         self.source = source
         self.target = target
         self._map = {x: fwd[x] for x in source.elements if x in fwd}
-        self._graph = self._dom = self._im = self._hash = None
+        self._graph = self._dom = self._im = self._hash = self._inverse = None
 
     @property
     def graph(self) -> frozenset[tuple[str, str]]:
@@ -195,14 +197,16 @@ class PBij:
     @property
     def is_mono(self) -> bool:
         """Left-cancellable: in this category, defined on all of the source."""
-        return len(self._map) == len(self.source)
+        return len(self._map) == len(self.source.elements)
 
     @property
     def is_epi(self) -> bool:
         """Right-cancellable: in this category, onto all of the target."""
-        return len(self._map) == len(self.target)
+        return len(self._map) == len(self.target.elements)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PBij):
             return NotImplemented
         return (self._map == other._map and self.source == other.source
@@ -239,7 +243,7 @@ def _trusted(source: FinSet, target: FinSet, fwd: dict[str, str]) -> PBij:
     f.source = source
     f.target = target
     f._map = fwd
-    f._graph = f._dom = f._im = f._hash = None
+    f._graph = f._dom = f._im = f._hash = f._inverse = None
     return f
 
 
@@ -249,7 +253,7 @@ def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> frozense
     Raises :class:`InvalidSubsetError` with ``message``, or by default
     with the stray tokens and the elements of ``X``.
     """
-    keep = frozenset(A)
+    keep = A._as_set if isinstance(A, FinSet) else frozenset(A)
     if not keep <= X._as_set:
         if message is None:
             message = f"{sorted(keep - X._as_set)!r} not contained in {list(X.elements)!r}"
@@ -283,9 +287,14 @@ def compose(g: PBij, f: PBij) -> PBij:
 
 
 def inverse(f: PBij) -> PBij:
-    """Transpose the graph; dom and im trade places."""
-    back = {y: x for x, y in f._map.items()}
-    return _trusted(f.target, f.source, {y: back[y] for y in f.target.elements if y in back})
+    """Transpose the graph; dom and im trade places.  The result is kept on
+    ``f``, so inverting the same morphism again returns the same object."""
+    inv = f._inverse
+    if inv is None:
+        back = {y: x for x, y in f._map.items()}
+        f._inverse = inv = _trusted(
+            f.target, f.source, {y: back[y] for y in f.target.elements if y in back})
+    return inv
 
 
 def partial_identity(X: FinSet, A: Iterable[str]) -> PBij:

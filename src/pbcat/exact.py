@@ -58,7 +58,7 @@ class ShortExactSeq:
             raise DiagramInvalidError("beta is not an epimorphism")
         if not compose(self.beta, self.alpha).is_zero:
             raise DiagramInvalidError("beta∘alpha is not the zero morphism")
-        if frozenset(self.alpha.im) != frozenset(self.V.difference(self.beta.dom)):
+        if set(self.alpha._map.values()) != self.V._as_set - self.beta._map.keys():
             raise DiagramInvalidError(
                 "alpha is not a kernel of beta: im(alpha) differs from the "
                 "complement of dom(beta)")
@@ -89,7 +89,7 @@ def is_kernel_of(alpha: PBij, beta: PBij) -> bool:
         return False
     if not compose(beta, alpha).is_zero:
         return False
-    return frozenset(alpha.im) == frozenset(beta.source.difference(beta.dom))
+    return set(alpha._map.values()) == beta.source._as_set - beta._map.keys()
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     include = _trusted(x2, both, {x: x for x in x2.elements})
     gamma = compose(_quotient_arrows(both, x1)[1], include)
     ker = kernel(gamma)
-    if frozenset(ker.object.elements) != frozenset(x1.intersection(x2).elements):
+    if ker.object._as_set != x1.intersection(x2)._as_set:
         raise InternalContradictionError("kernel of the restricted quotient is not X1∩X2")
     quotient = cokernel(ker.arrow).arrow
     iso = compose(gamma, inverse(quotient))

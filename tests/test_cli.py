@@ -275,6 +275,21 @@ def test_noether_commands_print_both_sides_and_the_iso(capsys):
     assert "verdict: EQUAL" in out
 
 
+@pytest.mark.parametrize("command, x, x1, x2, label, token", [
+    ("noether1", "a : b", "a", "a b", "--x", ":"),
+    ("noether1", "a -> b", "a", "a b", "--x", "->"),
+    ("noether1", "a -> b", "a", "a ->", "--x", "->"),
+    ("noether2", "a b", "a:", "b", "--x1", "a:"),
+    ("noether2", "a b", "a", "-> b", "--x2", "->"),
+], ids=["colon-in-iso", "arrow-in-iso", "arrow-outside-iso", "colon-in-x1", "arrow-in-x2"])
+def test_noether_tokens_that_would_print_ambiguously_are_parse_errors(
+        capsys, command, x, x1, x2, label, token):
+    code, out, err = run_cli(capsys, command, "--x", x, "--x1", x1, "--x2", x2)
+    assert (code, out) == (2, "")
+    assert err == (f"pbcat: parse error: line 0: bad {label}: element {token!r} "
+                   "would be ambiguous in the text format\n")
+
+
 def test_noether_subset_violation_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "noether1", "--x", "a", "--x1", "z", "--x2", "a")
     assert code == 2

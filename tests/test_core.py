@@ -107,6 +107,8 @@ def _results_of_operations(max_size):
             for f in enumerate_pbij(X, Y):
                 yield f
                 yield inverse(f)
+                yield inverse(f)
+                yield inverse(inverse(f))
                 fact = factorize(f)
                 yield fact.via
                 yield fact.mono
@@ -191,6 +193,17 @@ def test_inverse_transposes_and_round_trips():
     assert inverse(fi) == f
     z = zero_morphism(fin("1 2"), fin("a"))
     assert inverse(z) == zero_morphism(fin("a"), fin("1 2"))
+
+
+def test_inverse_is_kept_on_its_morphism_but_not_linked_back():
+    built = PBij(fin("1 2 3"), fin("a b"), [("1", "b"), ("3", "a")])
+    for f in [built, *enumerate_pbij(fin("1 2"), fin("a b c"))]:
+        fi = inverse(f)
+        assert inverse(f) is fi
+        back = inverse(fi)
+        assert back == f and back is not f
+        assert inverse(fi) is back
+        assert back.graph == f.graph and back.dom == f.dom and back.im == f.im
 
 
 def test_inverse_composites_are_partial_identities():

@@ -101,6 +101,78 @@ def test_sequence_constructor_rejects_each_failure_mode():
         ShortExactSeq(sub, X, skewed.target, alpha, skewed)
 
 
+_X = fin("1 2 3")
+_ALPHA = PBij(fin("1"), _X, [("1", "1")])
+_BETA = PBij(_X, fin("2 3"), [("2", "2"), ("3", "3")])
+
+_NOT_KERNEL = ("alpha is not a kernel of beta: im(alpha) differs from the "
+               "complement of dom(beta)")
+
+# (U, V, W, alpha, beta, the ShortExactSeq message or None, is_kernel_of)
+SEQUENCE_CASES = {
+    "exact": (fin("1"), _X, fin("2 3"), _ALPHA, _BETA, None, True),
+    "exact over reordered copies": (
+        fin("1"), fin("3 1 2"), fin("3 2"),
+        PBij(fin("1"), fin("2 3 1"), [("1", "1")]),
+        PBij(fin("2 1 3"), fin("2 3"), [("3", "3"), ("2", "2")]), None, True),
+    "exact through a renaming": (
+        fin("u"), _X, fin("2 3"), PBij(fin("u"), _X, [("u", "1")]), _BETA, None, True),
+    "exact onto a renamed quotient": (
+        fin("1"), _X, fin("p q"), _ALPHA, PBij(_X, fin("p q"), [("2", "p"), ("3", "q")]),
+        None, True),
+    "exact with an empty kernel": (
+        FinSet(), _X, _X, PBij(FinSet(), _X), identity(_X), None, True),
+    "exact on the empty set": (
+        FinSet(), FinSet(), FinSet(), PBij(FinSet(), FinSet()),
+        PBij(FinSet(), FinSet()), None, True),
+    "alpha off U": (fin("9"), _X, fin("2 3"), _ALPHA, _BETA,
+                    "alpha does not run U -> V", True),
+    "alpha off U and not mono": (
+        fin("9"), _X, fin("2 3"), PBij(fin("1 9"), _X, [("1", "1")]), _BETA,
+        "alpha does not run U -> V", False),
+    "beta off W": (fin("1"), _X, fin("2"), _ALPHA, _BETA,
+                   "beta does not run V -> W", True),
+    "alpha not mono": (fin("1 9"), _X, fin("2 3"), PBij(fin("1 9"), _X, [("1", "1")]),
+                       _BETA, "alpha is not a monomorphism", False),
+    "alpha not mono, beta not epi": (
+        fin("1 9"), _X, fin("2 3"), PBij(fin("1 9"), _X, [("1", "1")]),
+        PBij(_X, fin("2 3"), [("2", "2")]), "alpha is not a monomorphism", False),
+    "beta not epi": (fin("1"), _X, fin("2 3"), _ALPHA, PBij(_X, fin("2 3"), [("2", "2")]),
+                     "beta is not an epimorphism", False),
+    "beta does not kill alpha": (_X, _X, _X, identity(_X), identity(_X),
+                                 "beta∘alpha is not the zero morphism", False),
+    # im(alpha) = {2} has the size of V − dom(beta) = {1}: since beta∘alpha = 0
+    # puts im(alpha) inside V − dom(beta), a same-sized other image always
+    # meets dom(beta) and fails here, before the kernel comparison
+    "same-sized image inside dom(beta)": (
+        fin("u"), _X, fin("2 3"), PBij(fin("u"), _X, [("u", "2")]), _BETA,
+        "beta∘alpha is not the zero morphism", False),
+    "image short of the complement": (
+        fin("1"), _X, fin("q"), _ALPHA, PBij(_X, fin("q"), [("3", "q")]),
+        _NOT_KERNEL, False),
+    "renamed image short of the complement": (
+        fin("u"), _X, fin("q"), PBij(fin("u"), _X, [("u", "1")]),
+        PBij(_X, fin("q"), [("3", "q")]),
+        _NOT_KERNEL, False),
+    "image missing the complement": (
+        FinSet(), _X, fin("2 3"), PBij(FinSet(), _X), _BETA,
+        _NOT_KERNEL, False),
+}
+
+
+@pytest.mark.parametrize("case", list(SEQUENCE_CASES))
+def test_sequence_messages_and_kernel_verdicts(case):
+    U, V, W, alpha, beta, message, kernel_verdict = SEQUENCE_CASES[case]
+    if message is None:
+        ses = ShortExactSeq(U, V, W, alpha, beta)
+        assert (ses.alpha, ses.beta) == (alpha, beta)
+    else:
+        with pytest.raises(DiagramInvalidError) as exc:
+            ShortExactSeq(U, V, W, alpha, beta)
+        assert str(exc.value) == message
+    assert is_kernel_of(alpha, beta) is kernel_verdict
+
+
 def test_is_kernel_of_detects_wrong_image_and_non_monos():
     X = fin("1 2 3")
     beta = make_ses(X, fin("1")).beta
