@@ -24,7 +24,6 @@ from .core import (
     compose,
     enumerate_pbij,
     inverse,
-    partial_identity,
     zero_morphism,
 )
 
@@ -72,7 +71,8 @@ def star(f: PBij) -> PBij:
 
 def annihilator_projection(f: PBij) -> PBij:
     """The partial identity on source minus dom(f); generates {g | f∘g = 0}."""
-    return partial_identity(f.source, f.source.difference(f.dom))
+    X = f.source
+    return _trusted(X, X, {x: x for x in X.elements if x not in f._map})
 
 
 def projection_status(e: PBij) -> ProjectionStatus:
@@ -169,17 +169,17 @@ def normal_conormal_check(f: PBij) -> NormalityReport:
     mono is compared by (target, image) with the kernel of the annihilator
     of its inverse; an epi by (source, domain) with the cokernel of its own
     annihilator.  Morphisms that are neither mono nor epi are out of scope.
+    Both canonical arrows are built on f's own objects, so images and
+    domains list their tokens in one order and compare as tuples.
     """
     normal_ok: bool | None = None
     conormal_ok: bool | None = None
     if f.is_mono:
         k = kernel(annihilator_projection(inverse(f))).arrow
-        normal_ok = (f.target == k.target
-                     and frozenset(f.im) == frozenset(k.im))
+        normal_ok = f.target == k.target and f.im == k.im
     if f.is_epi:
         q = cokernel(annihilator_projection(f)).arrow
-        conormal_ok = (f.source == q.source
-                       and frozenset(f.dom) == frozenset(q.dom))
+        conormal_ok = f.source == q.source and f.dom == q.dom
     return NormalityReport(
         normal_ok=normal_ok,
         conormal_ok=conormal_ok,

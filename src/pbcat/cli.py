@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -44,33 +43,43 @@ from .textio import (
 MAX_SIZE_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation; equal configs must yield byte-identical reports."""
-
-    command: str
-    max_size: int = 3
-    seed: int = 0
-    input_path: str | None = None
-    count_only: bool = False
-    x: str = ""
-    x1: str = ""
-    x2: str = ""
-
-    def __post_init__(self):
-        if not 0 <= self.max_size <= MAX_SIZE_LIMIT:
-            raise ValueError(
-                f"max-size must be between 0 and {MAX_SIZE_LIMIT}, got {self.max_size}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+def _int(text: str) -> int:
+    """``int(text)``, failing in argparse's words for a bad ``type=int``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _header(cfg: RunConfig) -> list[str]:
+def _max_size(text: str) -> int:
+    value = _int(text)
+    if not 0 <= value <= MAX_SIZE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"max-size must be between 0 and {MAX_SIZE_LIMIT}, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+    return value
+
+
+def _token_set(text: str) -> FinSet:
+    """The set an option names; its tokens must print back unambiguously."""
+    try:
+        return FinSet(_unambiguous(t, "element") for t in text.split())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _header(args: argparse.Namespace) -> list[str]:
     return [
         "pbcat report",
-        f"command: {cfg.command}",
-        f"max-size: {cfg.max_size}",
-        f"seed: {cfg.seed}",
+        f"command: {args.command}",
+        f"max-size: {args.max_size}",
+        f"seed: {args.seed}",
         "",
     ]
 
@@ -83,22 +92,20 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _read_input(cfg: RunConfig) -> str:
-    if cfg.input_path is None:
-        raise ParseError(0, "this command needs an input file")
-    return Path(cfg.input_path).read_text(encoding="utf-8")
+def _read_input(args: argparse.Namespace) -> str:
+    return Path(args.input).read_text(encoding="utf-8")
 
 
-def _safe_run_law(name: str, cfg: RunConfig) -> LawResult:
+def _safe_run_law(name: str, args: argparse.Namespace) -> LawResult:
     try:
-        return run_law(name, cfg.max_size, cfg.seed)
+        return run_law(name, args.max_size, args.seed)
     except Exception as exc:  # a law that crashes is a failed law
         return LawResult(name, False, 0, f"internal error: {type(exc).__name__}: {exc}")
 
 
-def _cmd_check_axioms(cfg: RunConfig) -> tuple[list[str], int]:
+def _cmd_check_axioms(args: argparse.Namespace) -> tuple[list[str], int]:
     lines: list[str] = []
-    results = [_safe_run_law(name, cfg) for name in law_names()]
+    results = [_safe_run_law(name, args) for name in law_names()]
     for r in results:
         lines.append(f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.checked} cases)")
         if not r.ok:
@@ -111,10 +118,10 @@ def _cmd_check_axioms(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, 0 if verdict == "PASS" else 1
 
 
-def _cmd_enumerate(cfg: RunConfig) -> tuple[list[str], int]:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[list[str], int]:
     lines: list[str] = []
     code = 0
-    for n in range(cfg.max_size + 1):
+    for n in range(args.max_size + 1):
         X = FinSet(str(i) for i in range(1, n + 1))
         elements = list(enumerate_pbij(X, X))
         idems = sum(1 for m in elements if compose(m, m) == m)
@@ -123,15 +130,15 @@ def _cmd_enumerate(cfg: RunConfig) -> tuple[list[str], int]:
         if len(elements) != formula or idems != 2 ** n:
             lines.append(f"MISMATCH: expected |I({n})| = {formula}, idempotents = {2 ** n}")
             code = 1
-        if not cfg.count_only:
+        if not args.count_only:
             for i, m in enumerate(elements):
                 pairs = " ".join(f"{x}->{y}" for x, y in m.items())
                 lines.append(f"  m{i} : {pairs or '∅'}")
     return lines, code
 
 
-def _cmd_kernel(cfg: RunConfig) -> tuple[list[str], int]:
-    name, f = parse_pbij(_read_input(cfg))
+def _cmd_kernel(args: argparse.Namespace) -> tuple[list[str], int]:
+    name, f = parse_pbij(_read_input(args))
     k = kernel(f)
     ok = is_kernel_of(k.arrow, f)
     lines = ["input:", *_block(f, name)]
@@ -143,8 +150,8 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, 0 if ok else 1
 
 
-def _cmd_cokernel(cfg: RunConfig) -> tuple[list[str], int]:
-    name, f = parse_pbij(_read_input(cfg))
+def _cmd_cokernel(args: argparse.Namespace) -> tuple[list[str], int]:
+    name, f = parse_pbij(_read_input(args))
     c = cokernel(f)
     killed = compose(c.arrow, f).is_zero
     ok = (c.arrow.is_epi and killed
@@ -158,8 +165,8 @@ def _cmd_cokernel(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, 0 if ok else 1
 
 
-def _cmd_factorize(cfg: RunConfig) -> tuple[list[str], int]:
-    name, f = parse_pbij(_read_input(cfg))
+def _cmd_factorize(args: argparse.Namespace) -> tuple[list[str], int]:
+    name, f = parse_pbij(_read_input(args))
     fact = factorize(f)
     recomposed = compose(fact.mono, fact.epi) == f
     split = compose(fact.epi, compose(inverse(f), fact.mono)) == identity(fact.via)
@@ -176,22 +183,12 @@ def _cmd_factorize(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, 0 if ok else 1
 
 
-def _token_set(text: str, label: str) -> FinSet:
-    """The set an option names; its tokens must print back unambiguously."""
-    try:
-        return FinSet(_unambiguous(t, "element") for t in text.split())
-    except ValueError as exc:
-        raise ParseError(0, f"bad {label}: {exc}") from None
-
-
-def _cmd_noether(cfg: RunConfig) -> tuple[list[str], int]:
-    X = _token_set(cfg.x, "--x")
-    X1 = _token_set(cfg.x1, "--x1")
-    X2 = _token_set(cfg.x2, "--x2")
+def _cmd_noether(args: argparse.Namespace) -> tuple[list[str], int]:
+    X, X1, X2 = args.x, args.x1, args.x2
     lines = [f"X = {format_set(X)}", f"X1 = {format_set(X1)}", f"X2 = {format_set(X2)}"]
     # noether_first/noether_second raise unless both sides are equal, so
     # one side is computed and printed for both
-    if cfg.command == "noether1":
+    if args.command == "noether1":
         iso = noether_first(X, X1, X2)
         left_name, right_name = "(X - X1) - (X2 - X1)", "X - X2"
         side = X.difference(X2)
@@ -208,8 +205,8 @@ def _cmd_noether(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_grid33(cfg: RunConfig) -> tuple[list[str], int]:
-    grid = parse_grid(_read_input(cfg))
+def _cmd_grid33(args: argparse.Namespace) -> tuple[list[str], int]:
+    grid = parse_grid(_read_input(args))
     phi, psi = complete_3x3(grid)
     lines = ["completed bottom row:", ""]
     lines.extend(_block(phi, "phi"))
@@ -218,8 +215,8 @@ def _cmd_grid33(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_wagner_preston(cfg: RunConfig) -> tuple[list[str], int]:
-    name, table = parse_cayley(_read_input(cfg))
+def _cmd_wagner_preston(args: argparse.Namespace) -> tuple[list[str], int]:
+    name, table = parse_cayley(_read_input(args))
     lines = [f"table {name}: {' '.join(table.elements) or '∅'}"]
     try:
         theta = wagner_preston(table)
@@ -243,22 +240,12 @@ def _cmd_wagner_preston(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, 0
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], tuple[list[str], int]]] = {
-    "check-axioms": _cmd_check_axioms,
-    "enumerate": _cmd_enumerate,
-    "kernel": _cmd_kernel,
-    "cokernel": _cmd_cokernel,
-    "factorize": _cmd_factorize,
-    "noether1": _cmd_noether,
-    "noether2": _cmd_noether,
-    "grid33": _cmd_grid33,
-    "wagner-preston": _cmd_wagner_preston,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first ``main`` call.
+
+    It is the one table of commands: each subparser binds its handler as
+    ``run`` and checks its option values as argparse reads them.
 
     Building it costs more than answering a typical file request.  argparse
     returns a fresh Namespace per parse and looks up ``sys.stdout`` and
@@ -270,60 +257,40 @@ def _parser() -> argparse.ArgumentParser:
                     "kernels and quotients, and semigroup embeddings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-size", type=int, default=3, dest="max_size",
+    def command(name: str, run: Callable[[argparse.Namespace], tuple[list[str], int]],
+                text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        p.add_argument("--max-size", type=_max_size, default=3,
                        help=f"size bound for enumerations (0..{MAX_SIZE_LIMIT})")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_seed, default=0,
                        help="seed for the sampled law cases above the exhaustive sizes")
+        return p
 
-    common(sub.add_parser("check-axioms", help="run the named law suite"))
-    p = sub.add_parser("enumerate", help="count I(n) and its idempotents")
-    common(p)
-    p.add_argument("--count-only", action="store_true", dest="count_only",
-                   help="suppress the element listings")
-    for cmd, txt in (("kernel", "kernel of a morphism file"),
-                     ("cokernel", "cokernel of a morphism file"),
-                     ("factorize", "mono-epi factorization of a morphism file")):
-        p = sub.add_parser(cmd, help=txt)
-        common(p)
-        p.add_argument("input", help="morphism file")
-    for cmd in ("noether1", "noether2"):
-        p = sub.add_parser(cmd, help=f"check the {cmd} quotient identity")
-        common(p)
-        p.add_argument("--x", default="", help="ambient set tokens")
-        p.add_argument("--x1", default="", help="first subset tokens")
-        p.add_argument("--x2", default="", help="second subset tokens")
-    p = sub.add_parser("grid33", help="complete the bottom row of a grid file")
-    common(p)
-    p.add_argument("input", help="grid file")
-    p = sub.add_parser("wagner-preston", help="embed a Cayley-table semigroup")
-    common(p)
-    p.add_argument("input", help="Cayley table file")
+    command("check-axioms", _cmd_check_axioms, "run the named law suite")
+    command("enumerate", _cmd_enumerate, "count I(n) and its idempotents").add_argument(
+        "--count-only", action="store_true", help="suppress the element listings")
+    for name, run, text in (
+            ("kernel", _cmd_kernel, "kernel of a morphism file"),
+            ("cokernel", _cmd_cokernel, "cokernel of a morphism file"),
+            ("factorize", _cmd_factorize, "mono-epi factorization of a morphism file")):
+        command(name, run, text).add_argument("input", help="morphism file")
+    for name in ("noether1", "noether2"):
+        p = command(name, _cmd_noether, f"check the {name} quotient identity")
+        p.add_argument("--x", type=_token_set, default=FinSet(), help="ambient set tokens")
+        p.add_argument("--x1", type=_token_set, default=FinSet(), help="first subset tokens")
+        p.add_argument("--x2", type=_token_set, default=FinSet(), help="second subset tokens")
+    command("grid33", _cmd_grid33, "complete the bottom row of a grid file").add_argument(
+        "input", help="grid file")
+    command("wagner-preston", _cmd_wagner_preston, "embed a Cayley-table semigroup").add_argument(
+        "input", help="Cayley table file")
     return parser
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        max_size=args.max_size,
-        seed=args.seed,
-        input_path=getattr(args, "input", None),
-        count_only=getattr(args, "count_only", False),
-        x=getattr(args, "x", ""),
-        x1=getattr(args, "x1", ""),
-        x2=getattr(args, "x2", ""),
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config(args)
-    except ValueError as exc:
-        print(f"pbcat: {exc}", file=sys.stderr)
-        return 2
-    try:
-        body, code = _COMMANDS[cfg.command](cfg)
+        body, code = args.run(args)
     except ParseError as exc:
         print(f"pbcat: parse error: {exc}", file=sys.stderr)
         return 2
@@ -339,7 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalContradictionError as exc:
         print(f"pbcat: internal contradiction: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write("\n".join(_header(cfg) + body) + "\n")
+    sys.stdout.write("\n".join(_header(args) + body) + "\n")
     return code
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from pbcat import cli, textio
 from pbcat.baer import kernel
-from pbcat.cli import RunConfig, main
+from pbcat.cli import main
 from pbcat.core import FinSet, InternalContradictionError, PBij, compose, inverse
 from pbcat.exact import build_noether_grid
 from pbcat.laws import law_names, run_all, run_law
@@ -17,6 +17,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """stdout and stderr of a request argparse rejects: exit 2 through
+    SystemExit, and never a parse error at a line that does not exist."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.err.startswith(f"usage: pbcat {argv[0]} ")
+    assert "line 0" not in captured.err
+    return captured.out, captured.err
 
 
 def extract_morphisms(report):
@@ -36,18 +48,37 @@ def extract_morphisms(report):
     return out
 
 
-def test_run_config_rejects_out_of_range_values():
-    with pytest.raises(ValueError, match="max-size"):
-        RunConfig(command="enumerate", max_size=7)
-    with pytest.raises(ValueError, match="seed"):
-        RunConfig(command="enumerate", seed=2 ** 64)
-    RunConfig(command="enumerate", max_size=0)
+@pytest.mark.parametrize("argv, last", [
+    (("enumerate", "--max-size", "7"),
+     "argument --max-size: max-size must be between 0 and 6, got 7"),
+    (("check-axioms", "--max-size", "-1"),
+     "argument --max-size: max-size must be between 0 and 6, got -1"),
+    (("check-axioms", "--seed", "18446744073709551616"),
+     "argument --seed: seed must fit in 64 unsigned bits"),
+    (("enumerate", "--seed", "-1"),
+     "argument --seed: seed must fit in 64 unsigned bits"),
+    (("kernel", "--max-size", "abc", "f.pbij"),
+     "argument --max-size: invalid int value: 'abc'"),
+    (("noether1", "--x", "a a", "--x1", "a", "--x2", "a"),
+     "argument --x: duplicate element tokens in ('a', 'a')"),
+], ids=["max-size-7", "max-size-negative", "seed-2-to-the-64", "seed-negative",
+        "max-size-not-an-int", "duplicate-token"])
+def test_bad_option_values_are_usage_errors(capsys, argv, last):
+    out, err = usage_error(capsys, *argv)
+    assert out == ""
+    assert err.splitlines()[-1] == f"pbcat {argv[0]}: error: {last}"
 
 
 def test_header_carries_command_size_and_seed(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--max-size", "1", "--seed", "42")
     assert code == 0
     assert out.startswith("pbcat report\ncommand: enumerate\nmax-size: 1\nseed: 42\n\n")
+    # both ends of each option's range are accepted
+    code, out, _ = run_cli(capsys, "enumerate", "--max-size", "0",
+                           "--seed", str(2 ** 64 - 1), "--count-only")
+    assert code == 0
+    assert out.startswith("pbcat report\ncommand: enumerate\nmax-size: 0\n"
+                          "seed: 18446744073709551615\n\n")
 
 
 def test_reports_are_byte_identical_for_equal_configs(capsys):
@@ -273,6 +304,9 @@ def test_noether_commands_print_both_sides_and_the_iso(capsys):
     assert code == 0
     assert "left  (X - X1) - (X2 - X1) = ∅" in out
     assert "verdict: EQUAL" in out
+    # an omitted set option is the empty set
+    assert run_cli(capsys, "noether1", "--x", "a") == run_cli(
+        capsys, "noether1", "--x", "a", "--x1", "", "--x2", "")
 
 
 @pytest.mark.parametrize("command, x, x1, x2, label, token", [
@@ -284,10 +318,10 @@ def test_noether_commands_print_both_sides_and_the_iso(capsys):
 ], ids=["colon-in-iso", "arrow-in-iso", "arrow-outside-iso", "colon-in-x1", "arrow-in-x2"])
 def test_noether_tokens_that_would_print_ambiguously_are_parse_errors(
         capsys, command, x, x1, x2, label, token):
-    code, out, err = run_cli(capsys, command, "--x", x, "--x1", x1, "--x2", x2)
-    assert (code, out) == (2, "")
-    assert err == (f"pbcat: parse error: line 0: bad {label}: element {token!r} "
-                   "would be ambiguous in the text format\n")
+    out, err = usage_error(capsys, command, "--x", x, "--x1", x1, "--x2", x2)
+    assert out == ""
+    assert err.splitlines()[-1] == (f"pbcat {command}: error: argument {label}: "
+                                    f"element {token!r} would be ambiguous in the text format")
 
 
 def test_noether_subset_violation_is_a_usage_error(capsys):
@@ -394,15 +428,16 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "kernel", str(latin1))
     assert code == 2 and out == "" and err.startswith("pbcat: cannot read input: ")
 
-    code, _, err = run_cli(capsys, "enumerate", "--max-size", "7")
-    assert code == 2 and "max-size" in err
+    out, err = usage_error(capsys, "enumerate", "--max-size", "7")
+    assert out == "" and err.endswith(
+        "pbcat enumerate: error: argument --max-size: max-size must be between 0 and 6, got 7\n")
 
 
 def test_internal_contradiction_exits_one_with_a_message(capsys, monkeypatch):
-    def contradict(cfg):
+    def contradict(n):
         raise InternalContradictionError("translation maps are not injective")
 
-    monkeypatch.setitem(cli._COMMANDS, "enumerate", contradict)
+    monkeypatch.setattr(cli, "inverse_monoid_size", contradict)
     code, out, err = run_cli(capsys, "enumerate", "--max-size", "2")
     assert code == 1 and out == ""
     assert err == "pbcat: internal contradiction: translation maps are not injective\n"

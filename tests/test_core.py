@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pbcat.baer import factorize
+from pbcat.baer import annihilator_projection, cokernel, factorize, kernel
 from pbcat.core import (
     FinSet,
     InvalidSubsetError,
@@ -85,8 +85,9 @@ def _results_of_operations(max_size):
     """Every morphism and set the operations build from valid ones, over
     objects of size <= max_size: enumerations, composites, inverses,
     partial identities, identities and zero morphisms, the canonical short
-    exact sequence arrows, and mono-epi factorizations; subsets,
-    intersections, differences and unions."""
+    exact sequence arrows, mono-epi factorizations, annihilator projections,
+    and kernel and cokernel arrows; subsets, intersections, differences and
+    unions."""
     sources = small_objects(max_size)
     targets = [FinSet("abc"[:n]) for n in range(max_size + 1)]
     lasts = [FinSet("pqr"[:n]) for n in range(max_size + 1)]
@@ -113,6 +114,9 @@ def _results_of_operations(max_size):
                 yield fact.via
                 yield fact.mono
                 yield fact.epi
+                yield annihilator_projection(f)
+                yield kernel(f).arrow
+                yield cokernel(f).arrow
                 for Z in lasts:
                     for g in enumerate_pbij(Y, Z):
                         yield compose(g, f)
