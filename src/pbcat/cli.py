@@ -250,16 +250,23 @@ def _parser() -> argparse.ArgumentParser:
     Building it costs more than answering a typical file request.  argparse
     returns a fresh Namespace per parse and looks up ``sys.stdout`` and
     ``sys.stderr`` only when it prints, so reuse changes no output.
+
+    Every parser formats at 78 columns, the width argparse picks when
+    ``COLUMNS`` is unset and no terminal is attached.  Otherwise argparse
+    would wrap usage errors and help to the terminal, so the same argv
+    would print different bytes in different windows.
     """
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="pbcat",
         description="Finite partial bijections: law checking, enumeration, "
-                    "kernels and quotients, and semigroup embeddings.")
+                    "kernels and quotients, and semigroup embeddings.",
+        formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, run: Callable[[argparse.Namespace], tuple[list[str], int]],
                 text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, formatter_class=formatter)
         p.set_defaults(run=run)
         p.add_argument("--max-size", type=_max_size, default=3,
                        help=f"size bound for enumerations (0..{MAX_SIZE_LIMIT})")

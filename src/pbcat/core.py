@@ -136,10 +136,11 @@ class PBij:
                  pairs: Iterable[tuple[str, str]] = ()):
         fwd: dict[str, str] = {}
         seen_y = set()
+        xs, ys = source._as_set, target._as_set
         for x, y in pairs:
-            if x not in source:
+            if x not in xs:
                 raise ValueError(f"{x!r} is not in the source set")
-            if y not in target:
+            if y not in ys:
                 raise ValueError(f"{y!r} is not in the target set")
             if x in fwd:
                 if fwd[x] == y:

@@ -69,6 +69,31 @@ def test_bad_option_values_are_usage_errors(capsys, argv, last):
     assert err.splitlines()[-1] == f"pbcat {argv[0]}: error: {last}"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("enumerate", "--max-size", "7"), 2),
+    (("noether1", "--x", "a a", "--x1", "a", "--x2", "a"), 2),
+    (("wagner-preston", "--help"), 0),
+], ids=["enumerate-max-size-7", "noether1-duplicate-token", "wagner-preston-help"])
+def test_usage_and_help_do_not_follow_the_terminal_width(capsys, monkeypatch, argv, code):
+    outputs = []
+    for columns in ("40", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        outputs.append((captured.out, captured.err))
+    assert outputs[0] == outputs[1] == outputs[2]
+    if argv[0] == "noether1":
+        # wrapped as argparse wraps with COLUMNS unset and no terminal
+        assert outputs[0][1].startswith(
+            "usage: pbcat noether1 [-h] [--max-size MAX_SIZE] [--seed SEED] [--x X]\n"
+            "                      [--x1 X1] [--x2 X2]\n")
+
+
 def test_header_carries_command_size_and_seed(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--max-size", "1", "--seed", "42")
     assert code == 0

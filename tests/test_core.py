@@ -58,14 +58,24 @@ def test_finset_subsets_count_and_determinism():
 
 def test_pbij_rejects_non_functional_and_non_injective_graphs():
     X, Y = fin("1 2"), fin("a b")
-    with pytest.raises(ValueError):
-        PBij(X, Y, [("1", "a"), ("1", "b")])
-    with pytest.raises(ValueError):
-        PBij(X, Y, [("1", "a"), ("2", "a")])
-    with pytest.raises(ValueError):
-        PBij(X, Y, [("3", "a")])
-    with pytest.raises(ValueError):
-        PBij(X, Y, [("1", "c")])
+    for pairs, message in [
+        ([("1", "a"), ("1", "b")], "'1' is mapped twice; not functional"),
+        ([("1", "a"), ("2", "a")], "'a' is hit twice; not injective"),
+        ([("3", "a")], "'3' is not in the source set"),
+        ([("1", "c")], "'c' is not in the target set"),
+        # with two faults, the checks run source, target, functional,
+        # injective, and the first faulty pair is the one reported
+        ([("3", "c")], "'3' is not in the source set"),
+        ([("1", "a"), ("1", "c")], "'c' is not in the target set"),
+        ([("1", "a"), ("2", "b"), ("1", "b")], "'1' is mapped twice; not functional"),
+        ([("1", "a"), ("2", "a"), ("3", "b")], "'a' is hit twice; not injective"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            PBij(X, Y, pairs)
+        assert str(exc.value) == message
+    # a repeated identical pair is the same pair, not a second image
+    f = PBij(X, Y, [("1", "a"), ("1", "a"), ("2", "b"), ("1", "a")])
+    assert list(f.items()) == [("1", "a"), ("2", "b")]
 
 
 def test_pbij_dom_im_follow_declaration_order():

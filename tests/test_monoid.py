@@ -241,7 +241,85 @@ def brute_other_axioms(table):
     }
 
 
+def reference_generating_set(table):
+    """The greedy generating set as first written: the same order of
+    candidates, with the closure grown to its fixpoint after every
+    generator and every candidate visited."""
+    rows = table.product
+    cols = tuple(zip(*rows))
+
+    def powers(a):
+        seen = set()
+        x = a
+        while x not in seen:
+            seen.add(x)
+            x = rows[x][a]
+        return len(seen)
+
+    order = sorted(range(len(rows)),
+                   key=lambda a: (-len(set(rows[a])) - len(set(cols[a])), -powers(a), a))
+    members, closed, generators = [], set(), []
+    for g in order:
+        if g in closed:
+            continue
+        generators.append(g)
+        closed.add(g)
+        members.append(g)
+        pos = len(members) - 1
+        while pos < len(members):
+            row, col = rows[members[pos]], cols[members[pos]]
+            pos += 1
+            products = set(map(row.__getitem__, members))
+            products.update(map(col.__getitem__, members))
+            products -= closed
+            closed |= products
+            members.extend(products)
+    return sorted(generators)
+
+
+def reference_table_checks(table):
+    """Generators, witnesses in report order, and inverse map, from the
+    reference generating set, Light's test one entry at a time and the
+    quasi-inverse search over all n² pairs."""
+    n, p, name = len(table), table.product, table.elements
+    generators = reference_generating_set(table)
+    witnesses = []
+    for x in range(n):
+        for g in generators:
+            witnesses.extend(("associativity", name[x], name[g], name[y])
+                             for y in range(n) if p[p[x][g]][y] != p[x][p[g][y]])
+    inverse_map = {}
+    for a in range(n):
+        invs = [b for b in range(n) if p[p[a][b]][a] == a and p[p[b][a]][b] == b]
+        if not invs:
+            witnesses.append(("regularity", name[a]))
+        elif len(invs) > 1:
+            witnesses.append(("unique-inverse", name[a], name[invs[0]], name[invs[1]]))
+        else:
+            inverse_map[name[a]] = name[invs[0]]
+    idempotents = [e for e in range(n) if p[e][e] == e]
+    witnesses.extend(("commuting-idempotents", name[e], name[f])
+                     for e, f in itertools.combinations(idempotents, 2)
+                     if p[e][f] != p[f][e])
+    return {
+        "generators": tuple(name[g] for g in generators),
+        "witnesses": tuple(witnesses),
+        "inverse_map": inverse_map if len(inverse_map) == n else None,
+    }
+
+
+def assert_matches_reference(table):
+    reference = reference_table_checks(table)
+    assert _generating_set(table) == [table.index(g) for g in reference["generators"]]
+    report = verify_inverse_semigroup(table)
+    assert report.generators == reference["generators"]
+    assert report.counterexamples == reference["witnesses"]
+    assert report.inverse_map == reference["inverse_map"]
+    return report
+
+
 def assert_agrees_with_brute_force(table):
+    assert_matches_reference(table)
     n = len(table)
     generators = _generating_set(table)
     assert brute_closure(table, generators) == set(range(n))
@@ -309,6 +387,7 @@ def test_generating_set_does_not_depend_on_element_order():
         position = {old: new for new, old in enumerate(order)}
         rows = [[position[base.product[i][j]] for j in order] for i in order]
         table = CayleyTable(tuple(base.elements[i] for i in order), rows)
+        assert_matches_reference(table)
         generators = _generating_set(table)
         assert generators == sorted(generators)
         assert brute_closure(table, generators) == set(range(n))
@@ -341,3 +420,19 @@ def test_wagner_preston_picks_the_generating_set_once(monkeypatch):
     calls.clear()
     wagner_preston(table)
     assert calls == [table]
+
+
+def test_table_checks_match_the_reference_on_i4_and_its_perturbations():
+    base = i_of_n_table(4)
+    report = assert_matches_reference(base)
+    assert report.associative and report.inverses_unique
+    n = len(base)
+    rng = random.Random(20094)
+    kinds = set()
+    for _ in range(12):
+        i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        rows = [list(row) for row in base.product]
+        rows[i][j] = v
+        report = assert_matches_reference(CayleyTable(base.elements, rows))
+        kinds.update(w[0] for w in report.counterexamples)
+    assert {"associativity", "regularity"} <= kinds
