@@ -116,11 +116,12 @@ class PBij:
     The map is stored once, as a ``token -> token`` dict whose keys follow
     the source's declaration order.  The public constructor validates its
     pairs (each x from ``source`` at most once, each y from ``target`` at
-    most once); it is the boundary that parsed input, callers and the
-    Wagner-Preston translations go through.  Results of operations on
-    valid morphisms (composites, inverses, enumerations, partial
-    identities, canonical arrows) are valid by construction and are built
-    by :func:`_trusted`, which skips the checks.
+    most once); it is the boundary that parsed input and callers go
+    through.  Results of operations on valid morphisms (composites,
+    inverses, enumerations, partial identities, canonical arrows) are valid
+    by construction and are built by :func:`_trusted`, which skips the
+    checks; so are the Wagner-Preston translations, which
+    :func:`pbcat.monoid.wagner_preston` checks on index rows first.
 
     ``graph``, ``dom``, ``im``, the hash and the inverse are derived on
     first use and kept.  An inverse is not linked back to its morphism:

@@ -38,7 +38,6 @@ from .baer import (
 from .core import (
     FinSet,
     PBij,
-    classify,
     compose,
     cancellation_oracle,
     enumerate_pbij,
@@ -224,10 +223,9 @@ def _law_cancellation_agreement(cap: int, rng: random.Random) -> Iterator[Step]:
     dom-full/im-full criteria."""
     probes = _probes()
     for f in itertools.chain(_all_pairs(min(cap, 3)), _sampled_singles(rng, 4, cap)):
-        flags = classify(f)
         yield 1, _failure_if(
-            cancellation_oracle(f, "left", probes) != flags.is_mono
-            or cancellation_oracle(f, "right", probes) != flags.is_epi,
+            cancellation_oracle(f, "left", probes) != f.is_mono
+            or cancellation_oracle(f, "right", probes) != f.is_epi,
             "oracle disagrees with classify", f=f)
 
 
@@ -379,8 +377,8 @@ def _law_factorization(cap: int, rng: random.Random) -> Iterator[Step]:
     def bad(f: PBij) -> bool:
         fact = factorize(f)
         return (compose(fact.mono, fact.epi) != f
-                or not classify(fact.mono).is_mono
-                or not classify(fact.epi).is_epi
+                or not fact.mono.is_mono
+                or not fact.epi.is_epi
                 or fact.via != FinSet(f.im)
                 or compose(fact.epi, compose(inverse(f), fact.mono))
                 != identity(fact.via))
@@ -398,7 +396,7 @@ def _law_kernel_cokernel(cap: int, rng: random.Random) -> Iterator[Step]:
         return (not is_kernel_of(k.arrow, f)
                 or frozenset(k.object) != f.source._as_set - frozenset(f.dom)
                 or not compose(c.arrow, f).is_zero
-                or not classify(c.arrow).is_epi
+                or not c.arrow.is_epi
                 or frozenset(c.object) != f.target._as_set - frozenset(f.im))
 
     for f in itertools.chain(_all_pairs(min(cap, 3)), _sampled_singles(rng, 4, cap)):
@@ -409,12 +407,11 @@ def _law_normal_conormal(cap: int, rng: random.Random) -> Iterator[Step]:
     """Monos are kernels, epis are cokernels, the rest report not-applicable."""
     for f in _all_pairs(min(cap, 3)):
         report = normal_conormal_check(f)
-        flags = classify(f)
-        yield 1, _failure_if(flags.is_mono and report.normal_ok is not True,
+        yield 1, _failure_if(f.is_mono and report.normal_ok is not True,
                              "mono is not a kernel", f=f)
-        yield 0, _failure_if(flags.is_epi and report.conormal_ok is not True,
+        yield 0, _failure_if(f.is_epi and report.conormal_ok is not True,
                              "epi is not a cokernel", f=f)
-        yield 0, _failure_if(not flags.is_mono and not flags.is_epi
+        yield 0, _failure_if(not f.is_mono and not f.is_epi
                              and not report.not_applicable,
                              "non-mono non-epi not flagged", f=f)
 
@@ -422,10 +419,9 @@ def _law_normal_conormal(cap: int, rng: random.Random) -> Iterator[Step]:
 def _law_balanced(cap: int, rng: random.Random) -> Iterator[Step]:
     """mono + epi forces a two-sided inverse."""
     for f in _all_pairs(min(cap, 3)):
-        flags = classify(f)
-        if flags.is_mono and flags.is_epi:
+        if f.is_mono and f.is_epi:
             g = inverse(f)
-            yield 1, _failure_if(not flags.is_iso or compose(g, f) != identity(f.source)
+            yield 1, _failure_if(compose(g, f) != identity(f.source)
                                  or compose(f, g) != identity(f.target),
                                  "mono+epi without a two-sided inverse", f=f)
 

@@ -15,6 +15,7 @@ from .core import (
     InternalContradictionError,
     ObjectMismatchError,
     PBij,
+    _trusted,
     compose,
     enumerate_pbij,
     partial_identity,
@@ -316,12 +317,22 @@ def wagner_preston(table: CayleyTable) -> dict[str, PBij]:
     Element a becomes the left translation x -> a*x restricted to a⁻¹S,
     which maps bijectively onto aS.  The result is an injective homomorphism
     for the apply-right-first composition used throughout; both properties
-    are re-verified here on the constructed maps.  The homomorphism law
+    are re-verified here on index rows, before any map is built.
+
+    Each θ_a is a tuple of length n+1: ``a*x`` at each x in a⁻¹S, -1 at
+    every other x, and a trailing -1, so reading any θ at index -1 gives -1.
+    θ_a must be injective on a⁻¹S, which is one comparison of the number of
+    distinct images with the size of the domain.  The homomorphism law
     ``theta(a*g) == theta(a) o theta(g)`` is checked for every a and every
     g in the greedy generating set that :func:`verify_inverse_semigroup`
-    used and reports.  The table is associative by then, so every b is a
-    product of generators, and the law for all n² pairs (a, b) follows by
-    induction on the length of b.
+    used and reports, as one tuple comparison: θ_{a*g} against θ_a read
+    along θ_g, through one ``operator.itemgetter`` per generator.  The table
+    is associative by then, so every b is a product of generators, and the
+    law for all n² pairs (a, b) follows by induction on the length of b.
+    The embedding is injective when the n tuples are distinct.  A failed
+    check raises :class:`InternalContradictionError`.  Only then is each
+    θ_a built once as a :class:`PBij`, keyed in carrier order, without the
+    constructor's re-checks.
 
     A table that is not associative or lacks unique inverses is rejected
     with :class:`NotInverseSemigroupError`.
@@ -332,20 +343,33 @@ def wagner_preston(table: CayleyTable) -> dict[str, PBij]:
     assert report.inverse_map is not None
     p = table.product
     names = table.elements
+    n = len(names)
     index = {e: i for i, e in enumerate(names)}
-    carrier = FinSet(names)
-    theta: list[PBij] = []
+    inverse_map = report.inverse_map
+    domains: list[list[int]] = []
+    theta: list[tuple[int, ...]] = []
     for a, row_a in enumerate(p):
-        dom = set(p[index[report.inverse_map[names[a]]]])  # a⁻¹S
-        theta.append(PBij(carrier, carrier,
-                          [(names[x], names[row_a[x]]) for x in dom]))
+        dom = sorted(set(p[index[inverse_map[names[a]]]]))  # a⁻¹S, carrier order
+        images = [row_a[x] for x in dom]
+        if len(set(images)) != len(dom):
+            raise InternalContradictionError(
+                f"translation map of {names[a]} is not injective on its domain")
+        t = [-1] * (n + 1)
+        for x, y in zip(dom, images):
+            t[x] = y
+        domains.append(dom)
+        theta.append(tuple(t))
 
-    generators = [index[g] for g in report.generators]
+    getters = [(g, itemgetter(*theta[g])) for g in map(index.__getitem__, report.generators)]
     for a, row_a in enumerate(p):
-        for g in generators:
-            if theta[row_a[g]] != compose(theta[a], theta[g]):
+        theta_a = theta[a]
+        for g, along_g in getters:
+            if theta[row_a[g]] != along_g(theta_a):
                 raise InternalContradictionError(
                     f"translation maps fail the homomorphism law at ({names[a]}, {names[g]})")
-    if len(set(theta)) != len(names):
+    if len(set(theta)) != n:
         raise InternalContradictionError("translation maps are not injective")
-    return dict(zip(names, theta))
+
+    carrier = FinSet(names)
+    return {names[a]: _trusted(carrier, carrier, {names[x]: names[t[x]] for x in dom})
+            for a, (t, dom) in enumerate(zip(theta, domains))}

@@ -1,10 +1,22 @@
+import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 import pbcat.monoid as monoid
-from pbcat.core import FinSet, ObjectMismatchError, PBij, classify, compose, identity, inverse
+from pbcat.cli import main
+from pbcat.core import (
+    FinSet,
+    InternalContradictionError,
+    ObjectMismatchError,
+    PBij,
+    classify,
+    compose,
+    identity,
+    inverse,
+)
 from pbcat.monoid import (
     AxiomReport,
     CayleyTable,
@@ -17,6 +29,8 @@ from pbcat.monoid import (
     verify_inverse_semigroup,
     wagner_preston,
 )
+
+from pbcat.textio import serialize_cayley
 
 from helpers import fin, i_of_n_table, pbij_count, universe
 
@@ -202,6 +216,44 @@ def brute_homomorphism_holds(table, theta):
             and len(set(theta.values())) == len(table))
 
 
+def reference_wagner_preston(table):
+    """wagner_preston as first written: each θ_a through the validating
+    PBij constructor, θ(a*g) == θ(a)∘θ(g) checked by ``compose`` for every
+    generator g, and injectivity by hashing the maps."""
+    report = monoid.verify_inverse_semigroup(table)
+    if not (report.associative and report.inverses_unique):
+        raise NotInverseSemigroupError(report)
+    p, names = table.product, table.elements
+    index = {e: i for i, e in enumerate(names)}
+    carrier = FinSet(names)
+    theta = []
+    for a, row_a in enumerate(p):
+        dom = set(p[index[report.inverse_map[names[a]]]])  # a⁻¹S
+        theta.append(PBij(carrier, carrier, [(names[x], names[row_a[x]]) for x in dom]))
+    for a, row_a in enumerate(p):
+        for g in map(index.__getitem__, report.generators):
+            if theta[row_a[g]] != compose(theta[a], theta[g]):
+                raise InternalContradictionError(
+                    f"translation maps fail the homomorphism law at ({names[a]}, {names[g]})")
+    if len(set(theta)) != len(names):
+        raise InternalContradictionError("translation maps are not injective")
+    return dict(zip(names, theta))
+
+
+def assert_matches_reference_embedding(table, theta):
+    """theta is the reference embedding, keys and each domain in carrier
+    order, and each map survives a rebuild through the validating PBij
+    constructor unchanged."""
+    reference = reference_wagner_preston(table)
+    assert list(theta) == list(reference) == list(table.elements)
+    for a, f in theta.items():
+        assert f == reference[a]
+        assert list(f.items()) == list(reference[a].items())
+        rebuilt = PBij(f.source, f.target, list(f.items()))
+        assert rebuilt == f and list(rebuilt.items()) == list(f.items())
+        assert f.source.elements == table.elements
+
+
 def brute_closure(table, generators):
     """The closure of the generators under the product, by fixpoint."""
     closed = set(generators)
@@ -332,6 +384,7 @@ def assert_agrees_with_brute_force(table):
     else:
         report = verify_inverse_semigroup(table)
         assert brute_homomorphism_holds(table, theta)
+        assert_matches_reference_embedding(table, theta)
     assert report.associative == (not failures)
     witnesses = [w[1:] for w in report.counterexamples if w[0] == "associativity"]
     # Light's test lists exactly the brute-force failures whose middle
@@ -377,16 +430,24 @@ def test_generator_checks_agree_with_brute_force_on_perturbed_i3():
     assert rejected_non_associative > 0
 
 
-def test_generating_set_does_not_depend_on_element_order():
+def shuffled(table, rng):
+    """The same magma with its elements listed in a random order."""
+    order = list(range(len(table)))
+    rng.shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    rows = [[position[table.product[i][j]] for j in order] for i in order]
+    return CayleyTable(tuple(table.elements[i] for i in order), rows)
+
+
+def shuffled_i3_tables():
     base = i_of_n_table(3)
-    n = len(base)
     rng = random.Random(3)
-    for _ in range(6):
-        order = list(range(n))
-        rng.shuffle(order)
-        position = {old: new for new, old in enumerate(order)}
-        rows = [[position[base.product[i][j]] for j in order] for i in order]
-        table = CayleyTable(tuple(base.elements[i] for i in order), rows)
+    return [shuffled(base, rng) for _ in range(6)]
+
+
+def test_generating_set_does_not_depend_on_element_order():
+    n = len(i_of_n_table(3))
+    for table in shuffled_i3_tables():
         assert_matches_reference(table)
         generators = _generating_set(table)
         assert generators == sorted(generators)
@@ -436,3 +497,153 @@ def test_table_checks_match_the_reference_on_i4_and_its_perturbations():
         report = assert_matches_reference(CayleyTable(base.elements, rows))
         kinds.update(w[0] for w in report.counterexamples)
     assert {"associativity", "regularity"} <= kinds
+
+
+# -- the Wagner-Preston post-check on index rows against the reference ------
+
+def seeded_inverse_subsemigroups(points, seed, count):
+    """Tables of the inverse subsemigroups of I(points) that two random
+    elements and their inverses generate, elements in enumeration order."""
+    population = symmetric_inverse_monoid(universe(points))
+    rng = random.Random(seed)
+    for _ in range(count):
+        closed = set(rng.sample(population, 2))
+        closed |= {inverse(f) for f in closed}
+        while True:
+            grown = closed | {compose(g, f) for f in closed for g in closed}
+            if grown == closed:
+                break
+            closed = grown
+        elems = [f for f in population if f in closed]
+        names = [f"s{population.index(f)}" for f in elems]
+        by_value = dict(zip(elems, names))
+        lookup = dict(zip(names, elems))
+        yield CayleyTable.from_operation(
+            names, lambda a, b: by_value[compose(lookup[a], lookup[b])])
+
+
+def test_wagner_preston_matches_the_reference_on_i3_i4_and_shuffles():
+    for table in (i_of_n_table(3), i_of_n_table(4), *shuffled_i3_tables()):
+        assert_matches_reference_embedding(table, wagner_preston(table))
+
+
+def test_wagner_preston_matches_the_reference_on_seeded_subsemigroups():
+    # one-entry perturbations of I(3) and I(4) at the seeds above are all
+    # rejected, so the seeded accepted tables are inverse subsemigroups
+    sizes = set()
+    for points, seed in ((3, 11), (4, 12)):
+        for table in seeded_inverse_subsemigroups(points, seed, 4):
+            assert_matches_reference_embedding(table, wagner_preston(table))
+            sizes.add(len(table))
+    assert len(sizes) > 2
+
+
+def test_wagner_preston_neither_composes_nor_validates_maps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the wagner_preston path")
+
+    table = i_of_n_table(3)
+    expected = reference_wagner_preston(table)
+    monkeypatch.setattr(monoid, "compose", refuse)
+    monkeypatch.setattr(PBij, "__init__", refuse)
+    assert wagner_preston(table) == expected
+
+
+def _with_inverse_entry(monkeypatch, table, a, b):
+    """Make verify_inverse_semigroup report b as the inverse of a."""
+    report = verify_inverse_semigroup(table)
+    wrong = replace(report, inverse_map={**report.inverse_map, a: b})
+    monkeypatch.setattr(monoid, "verify_inverse_semigroup", lambda t: wrong)
+
+
+def test_a_wrong_inverse_entry_is_an_internal_contradiction(monkeypatch):
+    table = i_of_n_table(3)
+    report = verify_inverse_semigroup(table)
+    p, names = table.product, table.elements
+    expected = wagner_preston(table)
+    raised = 0
+    for a, b in itertools.product(names, repeat=2):
+        if b == report.inverse_map[a]:
+            continue
+        with monkeypatch.context() as patch:
+            _with_inverse_entry(patch, table, a, b)
+            moved = set(p[table.index(b)]) != set(p[table.index(report.inverse_map[a])])
+            if moved:
+                # the reference raises too, though for most entries the
+                # validating constructor's bare ValueError; where it
+                # reaches the homomorphism law, both name the same pair
+                with pytest.raises((ValueError, InternalContradictionError)) as ref:
+                    reference_wagner_preston(table)
+                with pytest.raises(InternalContradictionError) as exc:
+                    wagner_preston(table)
+                if ref.type is InternalContradictionError:
+                    assert str(exc.value) == str(ref.value)
+                raised += 1
+            else:
+                # b*S = a⁻¹*S: the domain, and so every map, is unchanged
+                assert wagner_preston(table) == expected
+    assert raised == 984
+
+
+def zero_and_identity(table):
+    """Indices of the table's zero and identity elements."""
+    p = table.product
+    zero = next(z for z in range(len(p)) if set(p[z]) == {z})
+    one = next(e for e in range(len(p)) if p[e] == tuple(range(len(p))))
+    return zero, one
+
+
+def test_each_translation_must_be_injective_and_the_embedding_too(monkeypatch):
+    table = i_of_n_table(3)
+    names = table.elements
+    zero, one = zero_and_identity(table)
+    report = verify_inverse_semigroup(table)
+    # every inverse reported as the identity: θ becomes the left regular
+    # representation, an injective homomorphism whose translations by the
+    # non-units are not injective
+    everywhere = replace(report, inverse_map=dict.fromkeys(names, names[one]))
+    monkeypatch.setattr(monoid, "verify_inverse_semigroup", lambda t: everywhere)
+    with pytest.raises(InternalContradictionError, match="not injective on its domain"):
+        wagner_preston(table)
+    with pytest.raises(ValueError, match="not injective"):
+        reference_wagner_preston(table)
+    # every inverse reported as the zero: each θ_a is {zero -> zero}, a
+    # homomorphism made of injective maps that are all equal
+    nowhere = replace(report, inverse_map=dict.fromkeys(names, names[zero]))
+    monkeypatch.setattr(monoid, "verify_inverse_semigroup", lambda t: nowhere)
+    with pytest.raises(InternalContradictionError,
+                       match="^translation maps are not injective$"):
+        wagner_preston(table)
+
+
+def test_cli_reports_a_wrong_inverse_entry_as_an_internal_contradiction(
+        capsys, monkeypatch, tmp_path):
+    table = i_of_n_table(3)
+    names = table.elements
+    zero, one = zero_and_identity(table)
+    # the zero's translation on all of S is constant, hence not injective
+    _with_inverse_entry(monkeypatch, table, names[zero], names[one])
+    with pytest.raises(InternalContradictionError):
+        wagner_preston(table)
+    path = tmp_path / "i3.txt"
+    path.write_text(serialize_cayley(table))
+    assert main(["wagner-preston", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pbcat: internal contradiction: ")
+    assert captured.err.count("\n") == 1
+
+
+# sha256 of the wagner-preston report on I(4) with its 209 elements in a
+# seeded random order, so that carrier order is not enumeration order
+SHUFFLED_I4_REPORT = "b2584f92887ff88e9f6a14ab4e7e4b6a9c9fded4e3a0e59bcfbd8bf5fd12161a"
+
+
+def test_wagner_preston_report_on_a_shuffled_i4_matches_its_pinned_digest(
+        capsys, tmp_path):
+    path = tmp_path / "i4.txt"
+    path.write_text(serialize_cayley(shuffled(i_of_n_table(4), random.Random(4))))
+    assert main(["wagner-preston", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == SHUFFLED_I4_REPORT
