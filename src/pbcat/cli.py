@@ -85,7 +85,8 @@ def _header(args: argparse.Namespace) -> list[str]:
 
 
 def _block(f: PBij, name: str) -> list[str]:
-    return serialize_pbij(f, name).rstrip("\n").split("\n") + [""]
+    """The serialized morphism and a blank line, as two report entries."""
+    return [serialize_pbij(f, name).rstrip("\n"), ""]
 
 
 def _flag(value: bool) -> str:

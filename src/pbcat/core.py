@@ -364,20 +364,11 @@ def cancellation_oracle(f: PBij, side: str,
     probes = list(probe_objects)
     if not probes:
         raise ValueError("at least one probe object is required")
+    left = side == "left"
     for P in probes:
         seen: dict[PBij, PBij] = {}
-        if side == "left":
-            candidates = enumerate_pbij(P, f.source)
-            for g in candidates:
-                key = compose(f, g)
-                if key in seen and seen[key] != g:
-                    return False
-                seen[key] = g
-        else:
-            candidates = enumerate_pbij(f.target, P)
-            for g in candidates:
-                key = compose(g, f)
-                if key in seen and seen[key] != g:
-                    return False
-                seen[key] = g
+        for g in enumerate_pbij(P, f.source) if left else enumerate_pbij(f.target, P):
+            key = compose(f, g) if left else compose(g, f)
+            if seen.setdefault(key, g) != g:
+                return False
     return True

@@ -14,6 +14,12 @@ whole-monoid step covers, or 0 for a further check on a case already
 counted.  ``failure`` is None, or a ``(description, {label: morphism})``
 pair whose morphisms are serialized as the counterexample.  The first
 failure ends the law, and the reported count includes that step.
+
+Most laws check one chain of composable morphisms at a time.  Such a law
+is a plain check ``(f, g, ...) -> description | None`` registered through
+:func:`_each`, which declares its chain length, its exhaustive bound and
+the first size it samples.  A printed counterexample replays through the
+check: parsed back in label order, it yields the printed description.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ _SAMPLES = 30
 
 Failure = tuple[str, dict[str, PBij]]
 Step = tuple[int, Failure | None]
+_Law = Callable[[int, random.Random], Iterator[Step]]
 
 
 @dataclass(frozen=True)
@@ -94,22 +101,19 @@ def _mid(n: int) -> FinSet:
     return FinSet("uvwxyz"[i] for i in range(n))
 
 
-def _probes() -> list[FinSet]:
-    return [FinSet(), _mid(1), _mid(2)]
+# the probe objects of the cancellation, annihilator and kernel checks
+_PROBES = (FinSet(), _mid(1), _mid(2))
 
-
-def _all_pairs(cap: int) -> Iterator[PBij]:
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            yield from enumerate_pbij(_src(a), _tgt(b))
+# the makers of the objects a chain of morphisms runs through, in turn
+_CHAIN = (_src, _tgt, _mid, _src)
 
 
 def _composable(length: int, bound: int) -> Iterator[tuple[PBij, ...]]:
-    """Every chain of ``length`` composable morphisms over the objects
-    _src, _tgt, _mid, _src in turn, each of size at most ``bound``; the
-    sizes vary slowest, then the first morphism, then the next."""
+    """Every chain of ``length`` composable morphisms over the ``_CHAIN``
+    objects, each of size at most ``bound``; the sizes vary slowest, then
+    the first morphism, then the next."""
     for sizes in itertools.product(range(bound + 1), repeat=length + 1):
-        objects = [make(n) for make, n in zip((_src, _tgt, _mid, _src), sizes)]
+        objects = [make(n) for make, n in zip(_CHAIN, sizes)]
         yield from itertools.product(
             *(enumerate_pbij(X, Y) for X, Y in zip(objects, objects[1:])))
 
@@ -119,52 +123,56 @@ def _random_pbij(rng: random.Random, X: FinSet, Y: FinSet) -> PBij:
     return PBij(X, Y, zip(rng.sample(X.elements, k), rng.sample(Y.elements, k)))
 
 
-def _sampled_singles(rng: random.Random, lo: int, cap: int) -> Iterator[PBij]:
-    """Random morphisms _src(n) -> _tgt(n) at each size the exhaustive sweep
-    skipped."""
+def _sampled(rng: random.Random, length: int, lo: int, cap: int
+             ) -> Iterator[tuple[PBij, ...]]:
+    """``_SAMPLES`` random chains of ``length`` composable morphisms over
+    the ``_CHAIN`` objects, all of size n, at each n from ``lo`` to
+    ``cap``."""
     for n in range(lo, cap + 1):
-        X, Y = _src(n), _tgt(n)
+        objects = [make(n) for make in _CHAIN[:length + 1]]
         for _ in range(_SAMPLES):
-            yield _random_pbij(rng, X, Y)
+            yield tuple(_random_pbij(rng, X, Y) for X, Y in zip(objects, objects[1:]))
 
 
-def _sampled_triples(rng: random.Random, lo: int, cap: int
-                     ) -> Iterator[tuple[PBij, PBij, PBij]]:
-    """Random composable triples at each size the exhaustive sweep skipped."""
-    for n in range(lo, cap + 1):
-        X, Y, Z, W = _src(n), _tgt(n), _mid(n), _src(n)
-        for _ in range(_SAMPLES):
-            yield (_random_pbij(rng, X, Y), _random_pbij(rng, Y, Z),
-                   _random_pbij(rng, Z, W))
+def _each(length: int, exhaustive_to: int, sampled_from: int | None,
+          check: Callable[..., str | None]) -> _Law:
+    """The law that runs ``check`` on every chain of ``length`` composable
+    morphisms up to size ``exhaustive_to`` (never above the cap), then on
+    ``_SAMPLES`` random chains at each size from ``sampled_from`` to the
+    cap (none if it is None).  Each chain is one case; a failing chain
+    labels its morphisms f, g, h in order."""
+    def law(cap: int, rng: random.Random) -> Iterator[Step]:
+        chains = _composable(length, min(cap, exhaustive_to))
+        if sampled_from is not None:
+            chains = itertools.chain(chains, _sampled(rng, length, sampled_from, cap))
+        for chain in chains:
+            description = check(*chain)
+            yield 1, None if description is None else (description, dict(zip("fgh", chain)))
+    return law
 
 
-def _law_composition_closure(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_composition_closure(f: PBij, g: PBij) -> str | None:
     """compose(g, f) applies f first and keeps exactly the points f sends
     into dom(g)."""
-    def bad(f: PBij, g: PBij) -> bool:
-        expected = frozenset((x, g(y)) for x, y in f.graph if g.get(y) is not None)
-        h = compose(g, f)
-        return h.graph != expected or h.source != f.source or h.target != g.target
-
-    sampled = ((f, g) for f, g, _ in _sampled_triples(rng, 4, cap))
-    for f, g in itertools.chain(_composable(2, min(cap, 3)), sampled):
-        yield 1, _failure_if(bad(f, g), "wrong composite", f=f, g=g)
+    expected = frozenset((x, g(y)) for x, y in f.graph if g.get(y) is not None)
+    h = compose(g, f)
+    if h.graph != expected or h.source != f.source or h.target != g.target:
+        return "wrong composite"
+    return None
 
 
-def _law_associativity(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_associativity(f: PBij, g: PBij, h: PBij) -> str | None:
     """h∘(g∘f) = (h∘g)∘f."""
-    for f, g, h in itertools.chain(_composable(3, min(cap, 2)),
-                                   _sampled_triples(rng, 3, cap)):
-        yield 1, _failure_if(compose(h, compose(g, f)) != compose(compose(h, g), f),
-                             "associativity broken", f=f, g=g, h=h)
+    if compose(h, compose(g, f)) != compose(compose(h, g), f):
+        return "associativity broken"
+    return None
 
 
-def _law_identity_neutrality(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_identity_neutrality(f: PBij) -> str | None:
     """1_Y∘f = f = f∘1_X."""
-    for f in itertools.chain(_all_pairs(min(cap, 3)), _sampled_singles(rng, 4, cap)):
-        yield 1, _failure_if(
-            compose(identity(f.target), f) != f or compose(f, identity(f.source)) != f,
-            "identity not neutral", f=f)
+    if compose(identity(f.target), f) != f or compose(f, identity(f.source)) != f:
+        return "identity not neutral"
+    return None
 
 
 def _law_inverse_laws(cap: int, rng: random.Random) -> Iterator[Step]:
@@ -180,11 +188,11 @@ def _law_inverse_laws(cap: int, rng: random.Random) -> Iterator[Step]:
     def bad_contravariance(f: PBij, g: PBij) -> bool:
         return inverse(compose(g, f)) != compose(inverse(f), inverse(g))
 
-    for f in _all_pairs(min(cap, 3)):
+    for (f,) in _composable(1, min(cap, 3)):
         yield 1, _failure_if(bad_unary(f), "inverse law broken", f=f)
     for f, g in _composable(2, min(cap, 3)):
         yield 1, _failure_if(bad_contravariance(f, g), "contravariance broken", f=f, g=g)
-    for f, g, _ in _sampled_triples(rng, 4, cap):
+    for f, g in _sampled(rng, 2, 4, cap):
         yield 1, _failure_if(bad_unary(f) or bad_contravariance(f, g),
                              "inverse law broken", f=f, g=g)
 
@@ -218,15 +226,13 @@ def _law_zero_morphisms(cap: int, rng: random.Random) -> Iterator[Step]:
                 "zero morphism not absorbing", f=f)
 
 
-def _law_cancellation_agreement(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_cancellation_agreement(f: PBij) -> str | None:
     """Left/right cancellability against small probes agrees with the
     dom-full/im-full criteria."""
-    probes = _probes()
-    for f in itertools.chain(_all_pairs(min(cap, 3)), _sampled_singles(rng, 4, cap)):
-        yield 1, _failure_if(
-            cancellation_oracle(f, "left", probes) != f.is_mono
-            or cancellation_oracle(f, "right", probes) != f.is_epi,
-            "oracle disagrees with classify", f=f)
+    if (cancellation_oracle(f, "left", _PROBES) != f.is_mono
+            or cancellation_oracle(f, "right", _PROBES) != f.is_epi):
+        return "oracle disagrees with classify"
+    return None
 
 
 def _law_monoid_size(cap: int, rng: random.Random) -> Iterator[Step]:
@@ -318,7 +324,7 @@ def _law_wagner_preston(cap: int, rng: random.Random) -> Iterator[Step]:
 
 def _law_involution(cap: int, rng: random.Random) -> Iterator[Step]:
     """f** = f, identities are self-dual, and (g∘f)* = f*∘g*."""
-    for f in _all_pairs(min(cap, 3)):
+    for (f,) in _composable(1, min(cap, 3)):
         yield 1, _failure_if(star(star(f)) != f, "double star differs", f=f)
     for n in range(min(cap, 3) + 1):
         yield 1, _failure_if(star(identity(_src(n))) != identity(_src(n)),
@@ -326,22 +332,22 @@ def _law_involution(cap: int, rng: random.Random) -> Iterator[Step]:
     for f, g in _composable(2, min(cap, 2)):
         yield 1, _failure_if(star(compose(g, f)) != compose(star(f), star(g)),
                              "star contravariance broken", f=f, g=g)
-    for f, g, _ in _sampled_triples(rng, 3, cap):
+    for f, g in _sampled(rng, 2, 3, cap):
         yield 1, _failure_if(
             star(compose(g, f)) != compose(star(f), star(g)) or star(star(f)) != f,
             "star law broken", f=f, g=g)
 
 
-def _law_annihilator_projection(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_annihilator_projection(f: PBij) -> str | None:
     """f′ is the projection on the domain complement and kills f."""
-    for f in _all_pairs(min(cap, 3)):
-        e = annihilator_projection(f)
-        yield 1, _failure_if(not projection_status(e).is_projection,
-                             "annihilator is not a projection", f=f)
-        yield 0, _failure_if(not compose(f, e).is_zero,
-                             "annihilator fails to kill its morphism", f=f)
-        yield 0, _failure_if(frozenset(e.dom) != f.source._as_set - frozenset(f.dom),
-                             "annihilator has the wrong support", f=f)
+    e = annihilator_projection(f)
+    if not projection_status(e).is_projection:
+        return "annihilator is not a projection"
+    if not compose(f, e).is_zero:
+        return "annihilator fails to kill its morphism"
+    if frozenset(e.dom) != f.source._as_set - frozenset(f.dom):
+        return "annihilator has the wrong support"
+    return None
 
 
 def _law_closed_projection(cap: int, rng: random.Random) -> Iterator[Step]:
@@ -356,69 +362,57 @@ def _law_closed_projection(cap: int, rng: random.Random) -> Iterator[Step]:
                                  "status disagrees on closedness", e=e)
 
 
-def _law_baer_annihilator(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_baer_annihilator(f: PBij) -> str | None:
     """The morphisms killed by f are exactly the multiples of f′."""
-    probes = _probes()
-    for f in _all_pairs(min(cap, 2)):
-        yield 1, _failure_if(not baer_annihilator_check(f, probes),
-                             "annihilator class mismatch", f=f)
+    return None if baer_annihilator_check(f, _PROBES) else "annihilator class mismatch"
 
 
-def _law_kernel_universal(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_kernel_universal(f: PBij) -> str | None:
     """Every morphism killed by f factors uniquely through kernel(f)."""
-    probes = _probes()
-    for f in _all_pairs(min(cap, 2)):
-        yield 1, _failure_if(not kernel_universal_check(f, probes),
-                             "kernel universal property failed", f=f)
+    return None if kernel_universal_check(f, _PROBES) else "kernel universal property failed"
 
 
-def _law_factorization(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_factorization(f: PBij) -> str | None:
     """f = mono∘epi through the image, with the split witness identity."""
-    def bad(f: PBij) -> bool:
-        fact = factorize(f)
-        return (compose(fact.mono, fact.epi) != f
-                or not fact.mono.is_mono
-                or not fact.epi.is_epi
-                or fact.via != FinSet(f.im)
-                or compose(fact.epi, compose(inverse(f), fact.mono))
-                != identity(fact.via))
-
-    for f in itertools.chain(_all_pairs(min(cap, 3)), _sampled_singles(rng, 4, cap)):
-        yield 1, _failure_if(bad(f), "factorization broken", f=f)
+    fact = factorize(f)
+    if (compose(fact.mono, fact.epi) != f
+            or not fact.mono.is_mono
+            or not fact.epi.is_epi
+            or fact.via != FinSet(f.im)
+            or compose(fact.epi, compose(inverse(f), fact.mono)) != identity(fact.via)):
+        return "factorization broken"
+    return None
 
 
-def _law_kernel_cokernel(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_kernel_cokernel(f: PBij) -> str | None:
     """kernel/cokernel land on the domain/image complements and satisfy
     their defining equations."""
-    def bad(f: PBij) -> bool:
-        k = kernel(f)
-        c = cokernel(f)
-        return (not is_kernel_of(k.arrow, f)
-                or frozenset(k.object) != f.source._as_set - frozenset(f.dom)
-                or not compose(c.arrow, f).is_zero
-                or not c.arrow.is_epi
-                or frozenset(c.object) != f.target._as_set - frozenset(f.im))
-
-    for f in itertools.chain(_all_pairs(min(cap, 3)), _sampled_singles(rng, 4, cap)):
-        yield 1, _failure_if(bad(f), "kernel/cokernel broken", f=f)
+    k = kernel(f)
+    c = cokernel(f)
+    if (not is_kernel_of(k.arrow, f)
+            or frozenset(k.object) != f.source._as_set - frozenset(f.dom)
+            or not compose(c.arrow, f).is_zero
+            or not c.arrow.is_epi
+            or frozenset(c.object) != f.target._as_set - frozenset(f.im)):
+        return "kernel/cokernel broken"
+    return None
 
 
-def _law_normal_conormal(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_normal_conormal(f: PBij) -> str | None:
     """Monos are kernels, epis are cokernels, the rest report not-applicable."""
-    for f in _all_pairs(min(cap, 3)):
-        report = normal_conormal_check(f)
-        yield 1, _failure_if(f.is_mono and report.normal_ok is not True,
-                             "mono is not a kernel", f=f)
-        yield 0, _failure_if(f.is_epi and report.conormal_ok is not True,
-                             "epi is not a cokernel", f=f)
-        yield 0, _failure_if(not f.is_mono and not f.is_epi
-                             and not report.not_applicable,
-                             "non-mono non-epi not flagged", f=f)
+    report = normal_conormal_check(f)
+    if f.is_mono and report.normal_ok is not True:
+        return "mono is not a kernel"
+    if f.is_epi and report.conormal_ok is not True:
+        return "epi is not a cokernel"
+    if not f.is_mono and not f.is_epi and not report.not_applicable:
+        return "non-mono non-epi not flagged"
+    return None
 
 
 def _law_balanced(cap: int, rng: random.Random) -> Iterator[Step]:
     """mono + epi forces a two-sided inverse."""
-    for f in _all_pairs(min(cap, 3)):
+    for (f,) in _composable(1, min(cap, 3)):
         if f.is_mono and f.is_epi:
             g = inverse(f)
             yield 1, _failure_if(compose(g, f) != identity(f.source)
@@ -474,27 +468,28 @@ def _law_noether_second(cap: int, rng: random.Random) -> Iterator[Step]:
                                  "unexpected isomorphism", iso=iso)
 
 
-LAWS: dict[str, Callable[[int, random.Random], Iterator[Step]]] = {
-    "composition-closure": _law_composition_closure,
-    "associativity": _law_associativity,
-    "identity-neutrality": _law_identity_neutrality,
+# per-case laws: _each(chain length, exhaustive to, sampled from, check)
+LAWS: dict[str, _Law] = {
+    "composition-closure": _each(2, 3, 4, _law_composition_closure),
+    "associativity": _each(3, 2, 3, _law_associativity),
+    "identity-neutrality": _each(1, 3, 4, _law_identity_neutrality),
     "inverse-laws": _law_inverse_laws,
     "idempotent-meet": _law_idempotent_meet,
     "zero-morphisms": _law_zero_morphisms,
-    "cancellation-agreement": _law_cancellation_agreement,
+    "cancellation-agreement": _each(1, 3, 4, _law_cancellation_agreement),
     "monoid-size": _law_monoid_size,
     "monoid-closure": _law_monoid_closure,
     "idempotent-census": _law_idempotent_census,
     "unique-inverses": _law_unique_inverses,
     "wagner-preston": _law_wagner_preston,
     "involution": _law_involution,
-    "annihilator-projection": _law_annihilator_projection,
+    "annihilator-projection": _each(1, 3, None, _law_annihilator_projection),
     "closed-projection": _law_closed_projection,
-    "baer-annihilator": _law_baer_annihilator,
-    "kernel-universal": _law_kernel_universal,
-    "factorization": _law_factorization,
-    "kernel-cokernel": _law_kernel_cokernel,
-    "normal-conormal": _law_normal_conormal,
+    "baer-annihilator": _each(1, 2, None, _law_baer_annihilator),
+    "kernel-universal": _each(1, 2, None, _law_kernel_universal),
+    "factorization": _each(1, 3, 4, _law_factorization),
+    "kernel-cokernel": _each(1, 3, 4, _law_kernel_cokernel),
+    "normal-conormal": _each(1, 3, None, _law_normal_conormal),
     "balanced": _law_balanced,
     "ses-construction": _law_ses_construction,
     "grid-completion": _law_grid_completion,

@@ -1,8 +1,11 @@
 import hashlib
+import itertools
+import re
+from math import prod
 
 import pytest
 
-from pbcat import cli, textio
+from pbcat import cli, laws, textio
 from pbcat.baer import kernel
 from pbcat.cli import main
 from pbcat.core import FinSet, InternalContradictionError, PBij, compose, inverse
@@ -10,7 +13,7 @@ from pbcat.exact import build_noether_grid
 from pbcat.laws import law_names, run_all, run_law
 from pbcat.textio import parse_pbij, serialize_cayley, serialize_grid, serialize_pbij
 
-from helpers import fin, i_of_n_table, universe
+from helpers import fin, i_of_n_table, pbij_count, universe
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +206,83 @@ def test_failing_reports_match_their_pinned_digest(capsys, monkeypatch, op, brok
     assert code == 1 and err == ""
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == FAILING_REPORTS[op, broken, size]
+
+
+# each per-case law: (chain length, exhaustive bound, first sampled size,
+# the check it runs on every chain)
+PER_CASE_LAWS = {
+    "composition-closure": (2, 3, 4, laws._law_composition_closure),
+    "associativity": (3, 2, 3, laws._law_associativity),
+    "identity-neutrality": (1, 3, 4, laws._law_identity_neutrality),
+    "cancellation-agreement": (1, 3, 4, laws._law_cancellation_agreement),
+    "annihilator-projection": (1, 3, None, laws._law_annihilator_projection),
+    "baer-annihilator": (1, 2, None, laws._law_baer_annihilator),
+    "kernel-universal": (1, 2, None, laws._law_kernel_universal),
+    "factorization": (1, 3, 4, laws._law_factorization),
+    "kernel-cokernel": (1, 3, 4, laws._law_kernel_cokernel),
+    "normal-conormal": (1, 3, None, laws._law_normal_conormal),
+}
+
+
+def counterexamples(report):
+    """(law, description, [(label, morphism), ...]) for each failed law of a
+    check-axioms report, its morphisms in the order printed."""
+    out = []
+    for name, body in re.findall(r"^FAIL (\S+) \(\d+ cases\)\ncounterexample:\n(.*?)\n\n",
+                                 report, re.M | re.S):
+        description, *blocks = re.split(r"\n(?=pbij )", body)
+        out.append((name, description, [parse_pbij(b + "\n") for b in blocks]))
+    return out
+
+
+# the per-case laws whose witnesses check-axioms --max-size 6 --seed 3
+# prints under each mutation of FAILING_REPORTS
+REPLAYED = {
+    _empty_compose: {"composition-closure", "identity-neutrality", "factorization"},
+    _swapped_compose: {"composition-closure"},
+    _lossy_inverse: {"factorization"},
+}
+
+
+@pytest.mark.parametrize("op, broken", list(dict.fromkeys(
+    (op, broken) for op, broken, _ in FAILING_REPORTS)),
+    ids=lambda v: getattr(v, "__name__", v).lstrip("_"))
+def test_printed_witnesses_replay_through_their_law_check(capsys, monkeypatch, op, broken):
+    monkeypatch.setattr(f"pbcat.laws.{op}", broken)
+    code, out, _ = run_cli(capsys, "check-axioms", "--max-size", "6", "--seed", "3")
+    assert code == 1
+    replays = []
+    for name, description, witness in counterexamples(out):
+        if name in PER_CASE_LAWS and witness:
+            assert [label for label, _ in witness] == list("fgh"[:len(witness)])
+            morphisms = [m for _, m in witness]
+            assert PER_CASE_LAWS[name][3](*morphisms) == description
+            replays.append((name, morphisms))
+    assert {name for name, _ in replays} == REPLAYED[broken]
+    # the witnesses blame the mutation: the library itself passes them
+    monkeypatch.undo()
+    for name, morphisms in replays:
+        assert PER_CASE_LAWS[name][3](*morphisms) is None
+
+
+def closed_form_count(length, exhaustive_to, sampled_from, cap):
+    """Cases a per-case law checks at --max-size cap, counted without pbcat:
+    every chain over objects of sizes up to the exhaustive bound, where
+    pbij_count(a, b) morphisms join sizes a and b, and 30 samples per
+    sampled size."""
+    bound = min(cap, exhaustive_to)
+    chains = sum(prod(pbij_count(a, b) for a, b in zip(sizes, sizes[1:]))
+                 for sizes in itertools.product(range(bound + 1), repeat=length + 1))
+    sampled = 0 if sampled_from is None else len(range(sampled_from, cap + 1))
+    return chains + 30 * sampled
+
+
+@pytest.mark.parametrize("name", list(PER_CASE_LAWS))
+def test_per_case_laws_check_their_closed_form_count(name):
+    length, exhaustive_to, sampled_from, _ = PER_CASE_LAWS[name]
+    for cap in range(7):
+        assert run_law(name, cap, 0).checked == closed_form_count(
+            length, exhaustive_to, sampled_from, cap), cap
 
 
 def test_run_all_runs_every_law_in_registry_order():
