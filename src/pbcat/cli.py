@@ -133,7 +133,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[list[str], int]:
             code = 1
         if not args.count_only:
             for i, m in enumerate(elements):
-                pairs = " ".join(f"{x}->{y}" for x, y in m.items())
+                pairs = " ".join(map("->".join, m.items()))
                 lines.append(f"  m{i} : {pairs or '∅'}")
     return lines, code
 

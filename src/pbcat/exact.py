@@ -24,7 +24,6 @@ from .core import (
     compose,
     identity,
     inverse,
-    partial_identity,
     zero_morphism,
 )
 
@@ -33,12 +32,40 @@ class DiagramInvalidError(ValueError):
     """A sequence or grid violates exactness/commutativity; names the culprit."""
 
 
+_NOT_KERNEL = ("alpha is not a kernel of beta: im(alpha) differs from the "
+               "complement of dom(beta)")
+
+
+def _exactness(alpha: PBij, beta: PBij, epi: bool = True) -> str | None:
+    """Why 0 -> U --alpha--> V --beta--> W -> 0 is not exact, or None.
+
+    The caller has checked that alpha.target and beta.source are both V.
+    alpha must be mono, beta epi (unless ``epi`` is false) and im(alpha) =
+    V - dom(beta).  No composite is built: an image equal to V - dom(beta)
+    misses dom(beta), which forces beta∘alpha = 0.  alpha is injective, so
+    the image test is a size count and one disjointness test.  A failing
+    image is reported as a nonzero beta∘alpha when it meets dom(beta) and
+    as a wrong kernel when it does not, which is what composing first
+    would report.
+    """
+    amap, bmap = alpha._map, beta._map
+    if len(amap) != len(alpha.source.elements):
+        return "alpha is not a monomorphism"
+    if epi and len(bmap) != len(beta.target.elements):
+        return "beta is not an epimorphism"
+    disjoint = bmap.keys().isdisjoint(amap.values())
+    if disjoint and len(amap) + len(bmap) == len(beta.source.elements):
+        return None
+    return _NOT_KERNEL if disjoint else "beta∘alpha is not the zero morphism"
+
+
 @dataclass(frozen=True)
 class ShortExactSeq:
     """0 -> U --alpha--> V --beta--> W -> 0, validated on construction.
 
-    alpha must be mono, beta epi, and alpha a kernel of beta: beta kills
-    alpha and the image of alpha is exactly the complement of dom(beta).
+    alpha must be mono, beta epi, and alpha a kernel of beta: the image of
+    alpha is exactly the complement of dom(beta).  That equality already
+    makes beta kill alpha, so no composite is built to check it.
     """
 
     U: FinSet
@@ -52,44 +79,35 @@ class ShortExactSeq:
             raise DiagramInvalidError("alpha does not run U -> V")
         if self.beta.source != self.V or self.beta.target != self.W:
             raise DiagramInvalidError("beta does not run V -> W")
-        if not self.alpha.is_mono:
-            raise DiagramInvalidError("alpha is not a monomorphism")
-        if not self.beta.is_epi:
-            raise DiagramInvalidError("beta is not an epimorphism")
-        if not compose(self.beta, self.alpha).is_zero:
-            raise DiagramInvalidError("beta∘alpha is not the zero morphism")
-        if set(self.alpha._map.values()) != self.V._as_set - self.beta._map.keys():
-            raise DiagramInvalidError(
-                "alpha is not a kernel of beta: im(alpha) differs from the "
-                "complement of dom(beta)")
+        failure = _exactness(self.alpha, self.beta)
+        if failure is not None:
+            raise DiagramInvalidError(failure)
 
     @classmethod
     def from_arrows(cls, alpha: PBij, beta: PBij) -> "ShortExactSeq":
         return cls(alpha.source, alpha.target, beta.target, alpha, beta)
 
 
-def _quotient_arrows(X: FinSet, keep: Iterable[str]) -> tuple[PBij, PBij]:
-    """The canonical arrows X1 -> X -> X - X1 for a checked X1 = keep ⊆ X."""
-    U = X.intersection(keep)
-    W = X.difference(keep)
+def _quotient_arrows(X: FinSet, U: FinSet) -> tuple[PBij, PBij]:
+    """The canonical arrows U -> X -> X - U for a checked U ⊆ X listed in
+    X's order.  The pair is exact by construction: the inclusion's image U
+    is the complement of the quotient's domain X - U, which also makes the
+    composite zero."""
+    W = X.difference(U)
     return _trusted(U, X, {u: u for u in U.elements}), _trusted(X, W, {w: w for w in W.elements})
 
 
 def make_ses(X: FinSet, X1: Iterable[str]) -> ShortExactSeq:
     """The canonical sequence 0 -> X1 -> X -> X - X1 -> 0 for X1 ⊆ X."""
-    return ShortExactSeq.from_arrows(*_quotient_arrows(X, _subset(X1, X)))
+    return ShortExactSeq.from_arrows(*_quotient_arrows(X, X.intersection(_subset(X1, X))))
 
 
 def is_kernel_of(alpha: PBij, beta: PBij) -> bool:
-    """True iff alpha is a mono that beta kills, hitting exactly the
-    complement of dom(beta)."""
+    """True iff alpha is a mono hitting exactly the complement of dom(beta);
+    beta then kills alpha, so no composite is built.  beta need not be epi."""
     if alpha.target != beta.source:
         raise ObjectMismatchError("alpha.target must equal beta.source")
-    if not alpha.is_mono:
-        return False
-    if not compose(beta, alpha).is_zero:
-        return False
-    return set(alpha._map.values()) == beta.source._as_set - beta._map.keys()
+    return _exactness(alpha, beta, epi=False) is None
 
 
 @dataclass(frozen=True)
@@ -165,10 +183,11 @@ class Grid3x3:
 
 
 def _check_exact(label: str, arrows: tuple[PBij, PBij]) -> None:
-    try:
-        ShortExactSeq.from_arrows(*arrows)
-    except DiagramInvalidError as exc:
-        raise DiagramInvalidError(f"{label} is not exact: {exc}") from None
+    """The row or column ``arrows`` is exact; its endpoints are already
+    checked (by :meth:`Grid3x3.validate`, or by construction)."""
+    failure = _exactness(*arrows)
+    if failure is not None:
+        raise DiagramInvalidError(f"{label} is not exact: {failure}")
 
 
 def complete_3x3(grid: Grid3x3) -> tuple[PBij, PBij]:
@@ -202,7 +221,7 @@ def build_noether_grid(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> Grid3
 
     middle = _quotient_arrows(X, x2)
     columns = (_quotient_arrows(x2, x1), _quotient_arrows(X, x1),
-               _quotient_arrows(middle[1].target, ()))
+               _quotient_arrows(middle[1].target, empty))
     col_arrows = tuple(zip(*columns))
     objects = ((x1, x1, empty), (x2, X, middle[1].target),
                tuple(arrow.target for arrow in col_arrows[1]))
@@ -218,9 +237,9 @@ def noether_first(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     the isomorphism, which must be the identity relation on X-X2.
     """
     grid = build_noether_grid(X, X1, X2)
-    x1, x2 = grid.objects[0][0], grid.objects[1][0]
-    lhs = X.difference(x1).difference(x2.difference(x1))
-    rhs = X.difference(x2)
+    # the grid holds X-X1 and X2-X1 in its bottom row, X-X2 at the middle right
+    lhs = grid.objects[2][1].difference(grid.objects[2][0])
+    rhs = grid.objects[1][2]
     if lhs != rhs:
         raise InternalContradictionError(
             f"first quotient identity failed: {lhs!r} vs {rhs!r}")
@@ -243,19 +262,19 @@ def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     """
     x1 = X.intersection(_subset(X1, X, "X1 must be a subset of X"))
     x2 = X.intersection(_subset(X2, X, "X2 must be a subset of X"))
-    lhs = x2.difference(x1.intersection(x2))
-    rhs = x1.union(x2).difference(x1)
+    meet, both = x1.intersection(x2), x1.union(x2)
+    lhs = x2.difference(meet)
+    rhs = both.difference(x1)
     if lhs != rhs:
         raise InternalContradictionError(
             f"second quotient identity failed: {lhs!r} vs {rhs!r}")
 
-    # x1 and x2 lie in both by construction: the canonical quotient and the
-    # inclusion need no checks
-    both = x1.union(x2)
+    # x1 and x2 lie in both by construction: the canonical quotient
+    # both -> both-X1 = rhs and the inclusion need no checks
     include = _trusted(x2, both, {x: x for x in x2.elements})
-    gamma = compose(_quotient_arrows(both, x1)[1], include)
+    gamma = compose(_trusted(both, rhs, {w: w for w in rhs.elements}), include)
     ker = kernel(gamma)
-    if ker.object._as_set != x1.intersection(x2)._as_set:
+    if ker.object._as_set != meet._as_set:
         raise InternalContradictionError("kernel of the restricted quotient is not X1∩X2")
     quotient = cokernel(ker.arrow).arrow
     iso = compose(gamma, inverse(quotient))

@@ -511,9 +511,11 @@ def run_law(name: str, max_size: int, seed: int) -> LawResult:
         checked += cases
         if failure is not None:
             description, morphisms = failure
-            parts = [description]
-            parts.extend(serialize_pbij(m, label).rstrip() for label, m in morphisms.items())
-            return LawResult(name, False, checked, "\n".join(parts))
+            # each block keeps the blank line serialize_pbij ends it with,
+            # but the last: the report puts one after every counterexample
+            blocks = "".join(serialize_pbij(m, label) for label, m in morphisms.items())
+            detail = f"{description}\n{blocks}".rstrip("\n")
+            return LawResult(name, False, checked, detail)
     return LawResult(name, True, checked)
 
 

@@ -184,13 +184,13 @@ def _lossy_inverse(f):
 # reports carry per-law case counts at the failure and the witnesses
 FAILING_REPORTS = {
     ("compose", _empty_compose, "2"):
-        "15b57e5e1e1ffb5ec16988db2474a93c1cc0be9ef371b9e0b17d0cff801066b0",
+        "397a1a7933b7a2b32eb85ea8ef75ebf95c48ed2a783464aea15e5ea0dee95deb",
     ("compose", _empty_compose, "6"):
-        "7b74c8f8d51303e6585d533e6082d7a9345b036d39a120b573f1c79f1b75b3e5",
+        "c9173837e739166b775325bc74c9d89e144a96a749c19756ee3f05d81bf456bb",
     ("compose", _swapped_compose, "2"):
-        "b8a56b89bfbb1a712681b4fd87667a6a2e609857cccb1aceaef5fb01ed16fe9b",
+        "14fc1848b260c11c9770c9331ff1e58162e88889d1913022a7f6d0c84d1d1f53",
     ("compose", _swapped_compose, "6"):
-        "0a9b6ccdb21c820f8a233d411600accc41c762ba3bdc42fe20ae97483f6b9b6a",
+        "0db313180bd8b0f75a1d364dc5d7ee12f4b76fead9c9fa9121a0f674267dfd6c",
     ("inverse", _lossy_inverse, "2"):
         "60ba833a51e19b3df16cfd4b23721854cf1b53b3e5f9e4437c0c2b08b4489f9a",
     ("inverse", _lossy_inverse, "6"):
@@ -226,12 +226,14 @@ PER_CASE_LAWS = {
 
 def counterexamples(report):
     """(law, description, [(label, morphism), ...]) for each failed law of a
-    check-axioms report, its morphisms in the order printed."""
+    check-axioms report, its morphisms in the order printed.  A counterexample
+    runs up to the next law or result line, and its pbij blocks are records
+    that end at a blank line, read by extract_morphisms."""
     out = []
-    for name, body in re.findall(r"^FAIL (\S+) \(\d+ cases\)\ncounterexample:\n(.*?)\n\n",
-                                 report, re.M | re.S):
-        description, *blocks = re.split(r"\n(?=pbij )", body)
-        out.append((name, description, [parse_pbij(b + "\n") for b in blocks]))
+    for name, body in re.findall(r"^FAIL (\S+) \(\d+ cases\)\ncounterexample:\n(.*?)\n\n"
+                                 r"(?=PASS |FAIL |result: )", report, re.M | re.S):
+        description, _, blocks = body.partition("\n")
+        out.append((name, description, extract_morphisms(blocks)))
     return out
 
 
@@ -251,6 +253,10 @@ def test_printed_witnesses_replay_through_their_law_check(capsys, monkeypatch, o
     monkeypatch.setattr(f"pbcat.laws.{op}", broken)
     code, out, _ = run_cli(capsys, "check-axioms", "--max-size", "6", "--seed", "3")
     assert code == 1
+    # no blank line is doubled, and every pbij block parses as a record of
+    # its own: extract_morphisms would glue blocks printed back to back
+    assert "\n\n\n" not in out
+    assert len(extract_morphisms(out)) == len(re.findall(r"^pbij ", out, re.M))
     replays = []
     for name, description, witness in counterexamples(out):
         if name in PER_CASE_LAWS and witness:

@@ -1,7 +1,10 @@
+import itertools
 from collections import Counter
+from math import factorial
 
 import pytest
 
+from pbcat import exact
 from pbcat.baer import cokernel
 from pbcat.core import (
     FinSet,
@@ -10,6 +13,7 @@ from pbcat.core import (
     PBij,
     classify,
     compose,
+    enumerate_pbij,
     identity,
     inverse,
     partial_identity,
@@ -27,7 +31,7 @@ from pbcat.exact import (
     noether_second,
 )
 
-from helpers import fin, universe
+from helpers import fin, pbij_count, universe
 
 
 def chains(n):
@@ -173,6 +177,76 @@ def test_sequence_messages_and_kernel_verdicts(case):
     assert is_kernel_of(alpha, beta) is kernel_verdict
 
 
+def reference_sequence_message(alpha, beta):
+    """The message ShortExactSeq gave, after its endpoint checks, when it
+    checked exactness by composing: beta∘alpha = 0 before the kernel test."""
+    if not alpha.is_mono:
+        return "alpha is not a monomorphism"
+    if not beta.is_epi:
+        return "beta is not an epimorphism"
+    if not compose(beta, alpha).is_zero:
+        return "beta∘alpha is not the zero morphism"
+    if set(alpha.im) != set(beta.source) - set(beta.dom):
+        return _NOT_KERNEL
+    return None
+
+
+def reference_is_kernel_of(alpha, beta):
+    """is_kernel_of as it was, by composing: beta need not be epi."""
+    return (alpha.is_mono and compose(beta, alpha).is_zero
+            and set(alpha.im) == set(beta.source) - set(beta.dom))
+
+
+def composable_pairs(bound):
+    """Every alpha in Hom(U, V) and beta in Hom(V, W), |U|, |V|, |W| <= bound."""
+    sizes = range(bound + 1)
+    for u, v, w in itertools.product(sizes, repeat=3):
+        U, V, W = universe(u), universe(v), universe(w)
+        betas = list(enumerate_pbij(V, W))
+        for alpha in enumerate_pbij(U, V):
+            for beta in betas:
+                yield alpha, beta
+
+
+def sequence_message(alpha, beta):
+    try:
+        ShortExactSeq.from_arrows(alpha, beta)
+    except DiagramInvalidError as exc:
+        return str(exc)
+    return None
+
+
+def test_exactness_agrees_with_the_compose_reference_on_every_small_pair():
+    outcomes = Counter()
+    for alpha, beta in composable_pairs(3):
+        expected = reference_sequence_message(alpha, beta)
+        assert exact._exactness(alpha, beta) == expected
+        assert sequence_message(alpha, beta) == expected
+        assert is_kernel_of(alpha, beta) is reference_is_kernel_of(alpha, beta)
+        outcomes[expected] += 1
+    # the pairs are those composition-closure checks exhaustively at bound 3
+    assert sum(outcomes.values()) == sum(
+        pbij_count(u, v) * pbij_count(v, w)
+        for u, v, w in itertools.product(range(4), repeat=3)) == 3396
+    assert set(outcomes) == {None, "alpha is not a monomorphism", "beta is not an epimorphism",
+                             "beta∘alpha is not the zero morphism", _NOT_KERNEL}
+    # an exact pair is a choice of |V| = |U| + |W| and a bijection U + W -> V
+    assert outcomes[None] == sum((v + 1) * factorial(v) for v in range(4)) == 33
+
+
+def test_exact_pairs_are_accepted_without_composing(monkeypatch):
+    def no_compose(g, f):
+        raise AssertionError("exactness needs no composite")
+    exact_pairs = [(alpha, beta) for alpha, beta in composable_pairs(3)
+                   if reference_sequence_message(alpha, beta) is None]
+    monkeypatch.setattr(exact, "compose", no_compose)
+    for alpha, beta in exact_pairs:
+        ses = ShortExactSeq.from_arrows(alpha, beta)
+        assert (ses.alpha, ses.beta) == (alpha, beta)
+        assert is_kernel_of(alpha, beta)
+    assert len(exact_pairs) == 33
+
+
 def test_is_kernel_of_detects_wrong_image_and_non_monos():
     X = fin("1 2 3")
     beta = make_ses(X, fin("1")).beta
@@ -314,18 +388,20 @@ def test_complete_3x3_checks_what_the_completion_adds(monkeypatch, op, broken):
 
 
 def test_each_sequence_of_a_noether_grid_is_checked_once(monkeypatch):
+    # ShortExactSeq, the grid's rows and columns and is_kernel_of all test
+    # exactness through exact._exactness, so counting its calls counts checks
     counts = {"sequences": 0, "validations": 0}
+    exactness, validate = exact._exactness, Grid3x3.validate
 
-    def counting(cls, name, key):
-        real = getattr(cls, name)
+    def counted_exactness(*args, **kwargs):
+        counts["sequences"] += 1
+        return exactness(*args, **kwargs)
 
-        def counted(self):
-            counts[key] += 1
-            return real(self)
-        monkeypatch.setattr(cls, name, counted)
-
-    counting(ShortExactSeq, "__post_init__", "sequences")
-    counting(Grid3x3, "validate", "validations")
+    def counted_validate(self):
+        counts["validations"] += 1
+        return validate(self)
+    monkeypatch.setattr(exact, "_exactness", counted_exactness)
+    monkeypatch.setattr(Grid3x3, "validate", counted_validate)
     X, X1, X2 = universe(4), fin("1"), fin("1 2")
     grid = build_noether_grid(X, X1, X2)
     assert not grid.has_bottom_row
