@@ -20,7 +20,6 @@ from .core import (
     PBij,
     _trusted,
     _trusted_set,
-    classify,
     compose,
     enumerate_pbij,
     inverse,
@@ -83,8 +82,7 @@ def projection_status(e: PBij) -> ProjectionStatus:
     """
     if e.source != e.target:
         raise ObjectMismatchError("projection status needs an endomorphism")
-    c = classify(e)
-    is_projection = c.is_idempotent and star(e) == e
+    is_projection = compose(e, e) == e and star(e) == e
     is_closed = annihilator_projection(annihilator_projection(e)) == e
     if is_projection and not is_closed:
         raise InternalContradictionError(f"projection {e!r} is not closed")

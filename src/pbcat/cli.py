@@ -111,7 +111,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[list[str], int]:
         lines.append(f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.checked} cases)")
         if not r.ok:
             lines.append("counterexample:")
-            lines.extend(r.detail.split("\n"))
+            lines.append(r.detail)
             lines.append("")
     passed = sum(r.ok for r in results)
     verdict = "PASS" if passed == len(results) else "FAIL"
@@ -155,8 +155,7 @@ def _cmd_cokernel(args: argparse.Namespace) -> tuple[list[str], int]:
     name, f = parse_pbij(_read_input(args))
     c = cokernel(f)
     killed = compose(c.arrow, f).is_zero
-    ok = (c.arrow.is_epi and killed
-          and frozenset(c.object) == f.target._as_set - frozenset(f.im))
+    ok = c.arrow.is_epi and killed and c.object == f.target.difference(f.im)
     lines = ["input:", *_block(f, name)]
     lines.append(f"cokernel object: {format_set(c.object)}")
     lines.extend(_block(c.arrow, f"coker_{name}"))

@@ -123,15 +123,16 @@ class PBij:
     checks; so are the Wagner-Preston translations, which
     :func:`pbcat.monoid.wagner_preston` checks on index rows first.
 
-    ``graph``, ``dom``, ``im``, the hash and the inverse are derived on
-    first use and kept.  An inverse is not linked back to its morphism:
-    inverting it again builds a new morphism equal to the original.  Two
-    morphisms are equal iff source, target, and map all agree, whatever
-    order their objects list their tokens in; Hom-sets over distinct
-    object pairs are therefore disjoint.
+    A morphism stores its two objects, its map and, once :func:`inverse`
+    has computed it, its inverse; ``graph``, ``dom``, ``im`` and the hash
+    are computed from the map on every read.  An inverse is not linked
+    back to its morphism: inverting it again builds a new morphism equal
+    to the original.  Two morphisms are equal iff source, target, and map
+    all agree, whatever order their objects list their tokens in; Hom-sets
+    over distinct object pairs are therefore disjoint.
     """
 
-    __slots__ = ("source", "target", "_map", "_graph", "_dom", "_im", "_hash", "_inverse")
+    __slots__ = ("source", "target", "_map", "_inverse")
 
     def __init__(self, source: FinSet, target: FinSet,
                  pairs: Iterable[tuple[str, str]] = ()):
@@ -154,32 +155,23 @@ class PBij:
         self.source = source
         self.target = target
         self._map = {x: fwd[x] for x in source.elements if x in fwd}
-        self._graph = self._dom = self._im = self._hash = self._inverse = None
+        self._inverse = None
 
     @property
     def graph(self) -> frozenset[tuple[str, str]]:
         """The set of (x, f(x)) pairs."""
-        graph = self._graph
-        if graph is None:
-            self._graph = graph = frozenset(self._map.items())
-        return graph
+        return frozenset(self._map.items())
 
     @property
     def dom(self) -> tuple[str, ...]:
         """The domain, in source declaration order."""
-        dom = self._dom
-        if dom is None:
-            self._dom = dom = tuple(self._map)
-        return dom
+        return tuple(self._map)
 
     @property
     def im(self) -> tuple[str, ...]:
         """The image, in target declaration order."""
-        im = self._im
-        if im is None:
-            hit = set(self._map.values())
-            self._im = im = tuple(y for y in self.target.elements if y in hit)
-        return im
+        hit = set(self._map.values())
+        return tuple(y for y in self.target.elements if y in hit)
 
     def __call__(self, x: str) -> str:
         """Apply to ``x``; raises KeyError outside the domain."""
@@ -215,17 +207,7 @@ class PBij:
                 and self.target == other.target)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            self._hash = h = hash((self.source, self.target, self.graph))
-        return h
-
-    def __mul__(self, other: "PBij") -> "PBij":
-        # g * f is g after f, like g(f(x))
-        return compose(self, other)
-
-    def __invert__(self) -> "PBij":
-        return inverse(self)
+        return hash((self.source, self.target, self.graph))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{x}->{y}" for x, y in self.items())
@@ -245,7 +227,7 @@ def _trusted(source: FinSet, target: FinSet, fwd: dict[str, str]) -> PBij:
     f.source = source
     f.target = target
     f._map = fwd
-    f._graph = f._dom = f._im = f._hash = f._inverse = None
+    f._inverse = None
     return f
 
 

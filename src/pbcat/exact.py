@@ -247,7 +247,7 @@ def noether_first(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     phi, psi = complete_3x3(grid)
     quotient = cokernel(phi).arrow
     iso = compose(psi, inverse(quotient))
-    if not (iso.is_mono and iso.is_epi) or any(x != y for x, y in iso.graph):
+    if not (iso.is_mono and iso.is_epi) or any(x != y for x, y in iso.items()):
         raise InternalContradictionError(
             f"grid route disagrees with the set identity: {iso!r}")
     return iso
@@ -274,11 +274,11 @@ def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     include = _trusted(x2, both, {x: x for x in x2.elements})
     gamma = compose(_trusted(both, rhs, {w: w for w in rhs.elements}), include)
     ker = kernel(gamma)
-    if ker.object._as_set != meet._as_set:
+    if ker.object != meet:
         raise InternalContradictionError("kernel of the restricted quotient is not X1∩X2")
     quotient = cokernel(ker.arrow).arrow
     iso = compose(gamma, inverse(quotient))
-    if not (iso.is_mono and iso.is_epi) or any(x != y for x, y in iso.graph):
+    if not (iso.is_mono and iso.is_epi) or any(x != y for x, y in iso.items()):
         raise InternalContradictionError(
             f"categorical route disagrees with the set identity: {iso!r}")
     return iso

@@ -154,7 +154,7 @@ def _each(length: int, exhaustive_to: int, sampled_from: int | None,
 def _law_composition_closure(f: PBij, g: PBij) -> str | None:
     """compose(g, f) applies f first and keeps exactly the points f sends
     into dom(g)."""
-    expected = frozenset((x, g(y)) for x, y in f.graph if g.get(y) is not None)
+    expected = frozenset((x, g(y)) for x, y in f.items() if g.get(y) is not None)
     h = compose(g, f)
     if h.graph != expected or h.source != f.source or h.target != g.target:
         return "wrong composite"
@@ -345,7 +345,7 @@ def _law_annihilator_projection(f: PBij) -> str | None:
         return "annihilator is not a projection"
     if not compose(f, e).is_zero:
         return "annihilator fails to kill its morphism"
-    if frozenset(e.dom) != f.source._as_set - frozenset(f.dom):
+    if e.source.intersection(e.dom) != f.source.difference(f.dom):
         return "annihilator has the wrong support"
     return None
 
@@ -390,10 +390,10 @@ def _law_kernel_cokernel(f: PBij) -> str | None:
     k = kernel(f)
     c = cokernel(f)
     if (not is_kernel_of(k.arrow, f)
-            or frozenset(k.object) != f.source._as_set - frozenset(f.dom)
+            or k.object != f.source.difference(f.dom)
             or not compose(c.arrow, f).is_zero
             or not c.arrow.is_epi
-            or frozenset(c.object) != f.target._as_set - frozenset(f.im)):
+            or c.object != f.target.difference(f.im)):
         return "kernel/cokernel broken"
     return None
 

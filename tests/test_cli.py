@@ -8,7 +8,7 @@ import pytest
 from pbcat import cli, laws, textio
 from pbcat.baer import kernel
 from pbcat.cli import main
-from pbcat.core import FinSet, InternalContradictionError, PBij, compose, inverse
+from pbcat.core import FinSet, InternalContradictionError, PBij, compose, enumerate_pbij, inverse
 from pbcat.exact import build_noether_grid
 from pbcat.laws import law_names, run_all, run_law
 from pbcat.textio import parse_pbij, serialize_cayley, serialize_grid, serialize_pbij
@@ -336,6 +336,22 @@ def test_check_axioms_reports_a_crashing_law_as_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check-axioms", "--max-size", "1")
     assert code == 1
     assert "internal error: RuntimeError: boom" in out
+
+
+@pytest.mark.parametrize("size", ["3", "6"])
+def test_zero_morphisms_fails_alone_when_enumeration_skips_the_zero(capsys, monkeypatch, size):
+    # the one law that sees a Hom-set missing its zero morphism, so it is
+    # not vacuous
+    def without_zero(X, Y):
+        return (f for f in enumerate_pbij(X, Y) if not (f.is_zero and (len(X) or len(Y))))
+
+    monkeypatch.setattr("pbcat.laws.enumerate_pbij", without_zero)
+    code, out, err = run_cli(capsys, "check-axioms", "--max-size", size, "--seed", "0")
+    assert code == 1 and err == ""
+    assert [l for l in out.splitlines() if l.startswith("FAIL ")] == ["FAIL zero-morphisms (3 cases)"]
+    assert ("FAIL zero-morphisms (3 cases)\ncounterexample:\n"
+            "empty-set hom-set is not a singleton at sizes (0,1)\n\n") in out
+    assert out.endswith("\nresult: FAIL (24/25 laws)\n")
 
 
 def test_enumerate_counts_and_count_only(capsys):

@@ -220,6 +220,15 @@ def test_inverse_is_kept_on_its_morphism_but_not_linked_back():
         assert back.graph == f.graph and back.dom == f.dom and back.im == f.im
 
 
+def test_graph_dom_and_im_are_views_of_the_map():
+    # the inverse is the one derived fact a morphism keeps
+    assert PBij.__slots__ == ("source", "target", "_map", "_inverse")
+    f = PBij(fin("1 2 3"), fin("b a"), [("3", "a"), ("1", "b")])
+    assert f.graph == frozenset({("1", "b"), ("3", "a")}) and f.graph is not f.graph
+    assert f.dom == ("1", "3") and f.im == ("b", "a")
+    assert hash(f) == hash((f.source, f.target, f.graph))
+
+
 def test_inverse_composites_are_partial_identities():
     f = PBij(fin("1 2 3"), fin("a b"), [("1", "b"), ("3", "a")])
     assert compose(inverse(f), f) == partial_identity(f.source, f.dom)
