@@ -20,6 +20,9 @@ is a plain check ``(f, g, ...) -> description | None`` registered through
 :func:`_each`, which declares its chain length, its exhaustive bound and
 the first size it samples.  A printed counterexample replays through the
 check: parsed back in label order, it yields the printed description.
+Most other laws check one object X = {1..n} at a time.  Such a law is a
+step function ``(n, X) -> Iterator[Step]`` registered through
+:func:`_each_object`, which declares its exhaustive bound.
 """
 
 from __future__ import annotations
@@ -151,6 +154,18 @@ def _each(length: int, exhaustive_to: int, sampled_from: int | None,
     return law
 
 
+def _each_object(exhaustive_to: int | None,
+                 steps: Callable[[int, FinSet], Iterator[Step]]) -> _Law:
+    """The law that runs ``steps(n, X)`` on the object X = {1..n} at every
+    size n up to ``exhaustive_to`` (never above the cap), or up to the cap
+    if it is None."""
+    def law(cap: int, rng: random.Random) -> Iterator[Step]:
+        bound = cap if exhaustive_to is None else min(cap, exhaustive_to)
+        for n in range(bound + 1):
+            yield from steps(n, _src(n))
+    return law
+
+
 def _law_composition_closure(f: PBij, g: PBij) -> str | None:
     """compose(g, f) applies f first and keeps exactly the points f sends
     into dom(g)."""
@@ -235,47 +250,41 @@ def _law_cancellation_agreement(f: PBij) -> str | None:
     return None
 
 
-def _law_monoid_size(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_monoid_size(n: int, X: FinSet) -> Iterator[Step]:
     """|I(n)| matches the closed-form count sum_k C(n,k)^2 k!."""
-    for n in range(cap + 1):
-        expected = inverse_monoid_size(n)
-        got = sum(1 for _ in symmetric_inverse_monoid(_src(n)))
-        yield 1, _failure_if(got != expected, f"|I({n})| = {got}, expected {expected}")
+    expected = inverse_monoid_size(n)
+    got = sum(1 for _ in symmetric_inverse_monoid(X))
+    yield 1, _failure_if(got != expected, f"|I({n})| = {got}, expected {expected}")
 
 
-def _law_monoid_closure(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_monoid_closure(n: int, X: FinSet) -> Iterator[Step]:
     """I(X) contains the identity and is closed under compose and inverse."""
-    for n in range(min(cap, 3) + 1):
-        X = _src(n)
-        elements = list(symmetric_inverse_monoid(X))
-        population = set(elements)
-        yield 0, _failure_if(identity(X) not in population, f"1_X missing from I({n})")
-        for f in elements:
-            yield 1, _failure_if(inverse(f) not in population,
-                                 "inverse escapes the monoid", f=f)
-            for g in elements:
-                yield 1, _failure_if(compose(g, f) not in population,
-                                     "composite escapes the monoid", f=f, g=g)
+    elements = list(symmetric_inverse_monoid(X))
+    population = set(elements)
+    yield 0, _failure_if(identity(X) not in population, f"1_X missing from I({n})")
+    for f in elements:
+        yield 1, _failure_if(inverse(f) not in population,
+                             "inverse escapes the monoid", f=f)
+        for g in elements:
+            yield 1, _failure_if(compose(g, f) not in population,
+                                 "composite escapes the monoid", f=f, g=g)
 
 
-def _law_idempotent_census(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_idempotent_census(n: int, X: FinSet) -> Iterator[Step]:
     """The idempotents of I(X) are exactly the 2^|X| partial identities."""
-    for n in range(min(cap, 3) + 1):
-        X = _src(n)
-        declared = set(idempotents_of(X))
-        brute = {f for f in symmetric_inverse_monoid(X) if compose(f, f) == f}
-        yield len(brute), _failure_if(
-            declared != brute or len(declared) != 2 ** n,
-            f"idempotent census failed at n={n}: "
-            f"{len(declared)} declared, {len(brute)} found")
+    declared = set(idempotents_of(X))
+    brute = {f for f in symmetric_inverse_monoid(X) if compose(f, f) == f}
+    yield len(brute), _failure_if(
+        declared != brute or len(declared) != 2 ** n,
+        f"idempotent census failed at n={n}: "
+        f"{len(declared)} declared, {len(brute)} found")
 
 
-def _law_unique_inverses(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_unique_inverses(n: int, X: FinSet) -> Iterator[Step]:
     """Every element of I(X) has exactly one generalized inverse."""
-    for n in range(min(cap, 3) + 1):
-        elements = list(symmetric_inverse_monoid(_src(n)))
-        yield len(elements) ** 2, _failure_if(not unique_inverse_check(elements),
-                                              f"inverse not unique in I({n})")
+    elements = list(symmetric_inverse_monoid(X))
+    yield len(elements) ** 2, _failure_if(not unique_inverse_check(elements),
+                                          f"inverse not unique in I({n})")
 
 
 def _wagner_fixtures() -> list[tuple[str, CayleyTable]]:
@@ -350,16 +359,14 @@ def _law_annihilator_projection(f: PBij) -> str | None:
     return None
 
 
-def _law_closed_projection(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_closed_projection(n: int, X: FinSet) -> Iterator[Step]:
     """Every projection equals its double annihilator."""
-    for n in range(cap + 1):
-        X = _src(n)
-        for A in X.subsets():
-            e = partial_identity(X, A)
-            yield 1, _failure_if(annihilator_projection(annihilator_projection(e)) != e,
-                                 "projection is not closed", e=e)
-            yield 0, _failure_if(not projection_status(e).is_closed,
-                                 "status disagrees on closedness", e=e)
+    for A in X.subsets():
+        e = partial_identity(X, A)
+        yield 1, _failure_if(annihilator_projection(annihilator_projection(e)) != e,
+                             "projection is not closed", e=e)
+        yield 0, _failure_if(not projection_status(e).is_closed,
+                             "status disagrees on closedness", e=e)
 
 
 def _law_baer_annihilator(f: PBij) -> str | None:
@@ -420,55 +427,50 @@ def _law_balanced(cap: int, rng: random.Random) -> Iterator[Step]:
                                  "mono+epi without a two-sided inverse", f=f)
 
 
-def _law_ses_construction(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_ses_construction(n: int, X: FinSet) -> Iterator[Step]:
     """Canonical quotient sequences validate, with the cardinality law."""
-    for n in range(min(cap, 5) + 1):
-        X = _src(n)
-        for X1 in X.subsets():
-            ses = make_ses(X, X1)
-            alpha, beta = ses.alpha, ses.beta
-            yield 1, _failure_if(beta != cokernel(alpha).arrow,
-                                 "beta is not the cokernel of alpha", alpha=alpha, beta=beta)
-            yield 0, _failure_if(not is_kernel_of(alpha, beta),
-                                 "alpha is not the kernel of beta", alpha=alpha, beta=beta)
-            yield 0, _failure_if(len(ses.W) != len(ses.V) - len(ses.U),
-                                 "quotient cardinality law broken", beta=beta)
+    for X1 in X.subsets():
+        ses = make_ses(X, X1)
+        alpha, beta = ses.alpha, ses.beta
+        yield 1, _failure_if(beta != cokernel(alpha).arrow,
+                             "beta is not the cokernel of alpha", alpha=alpha, beta=beta)
+        yield 0, _failure_if(not is_kernel_of(alpha, beta),
+                             "alpha is not the kernel of beta", alpha=alpha, beta=beta)
+        yield 0, _failure_if(len(ses.W) != len(ses.V) - len(ses.U),
+                             "quotient cardinality law broken", beta=beta)
 
 
-def _law_grid_completion(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_grid_completion(n: int, X: FinSet) -> Iterator[Step]:
     """Completing the quotient grid yields the induced quotient sequence."""
-    for n in range(min(cap, 4) + 1):
-        X = _src(n)
-        for X2 in X.subsets():
-            for X1 in X2.subsets():
-                phi, psi = complete_3x3(build_noether_grid(X, X1, X2))
-                induced = make_ses(X.difference(X1), X2.difference(X1))
-                yield 1, _failure_if(phi != induced.alpha or psi != induced.beta,
-                                     "completed row is not canonical", phi=phi, psi=psi)
+    for X2 in X.subsets():
+        for X1 in X2.subsets():
+            phi, psi = complete_3x3(build_noether_grid(X, X1, X2))
+            induced = make_ses(X.difference(X1), X2.difference(X1))
+            yield 1, _failure_if(phi != induced.alpha or psi != induced.beta,
+                                 "completed row is not canonical", phi=phi, psi=psi)
 
 
-def _law_noether_first(cap: int, rng: random.Random) -> Iterator[Step]:
+def _law_noether_first(n: int, X: FinSet) -> Iterator[Step]:
     """(X−X1)−(X2−X1) = X−X2, set identity and grid route in agreement."""
-    for n in range(min(cap, 5) + 1):
-        X = _src(n)
-        for X2 in X.subsets():
-            for X1 in X2.subsets():
-                iso = noether_first(X, X1, X2)
-                yield 1, _failure_if(iso != identity(X.difference(X2)),
-                                     "unexpected isomorphism", iso=iso)
-
-
-def _law_noether_second(cap: int, rng: random.Random) -> Iterator[Step]:
-    """X2−(X1∩X2) = (X1∪X2)−X1, set identity and quotient route in agreement."""
-    for n in range(min(cap, 5) + 1):
-        X = _src(n)
-        for X1, X2 in itertools.product(list(X.subsets()), repeat=2):
-            iso = noether_second(X, X1, X2)
-            yield 1, _failure_if(iso != identity(X2.difference(X1)),
+    for X2 in X.subsets():
+        for X1 in X2.subsets():
+            iso = noether_first(X, X1, X2)
+            yield 1, _failure_if(iso != identity(X.difference(X2)),
                                  "unexpected isomorphism", iso=iso)
 
 
-# per-case laws: _each(chain length, exhaustive to, sampled from, check)
+def _law_noether_second(n: int, X: FinSet) -> Iterator[Step]:
+    """X2−(X1∩X2) = (X1∪X2)−X1, set identity and quotient route in agreement."""
+    for X1, X2 in itertools.product(list(X.subsets()), repeat=2):
+        iso = noether_second(X, X1, X2)
+        yield 1, _failure_if(iso != identity(X2.difference(X1)),
+                             "unexpected isomorphism", iso=iso)
+
+
+# per-case laws: _each(chain length, exhaustive to, sampled from, check);
+# per-object laws: _each_object(exhaustive to, or None for the cap, steps);
+# the other six sweep otherwise (size pairs, fixed tables, isos alone, two
+# bounds) and are their own generators
 LAWS: dict[str, _Law] = {
     "composition-closure": _each(2, 3, 4, _law_composition_closure),
     "associativity": _each(3, 2, 3, _law_associativity),
@@ -477,24 +479,24 @@ LAWS: dict[str, _Law] = {
     "idempotent-meet": _law_idempotent_meet,
     "zero-morphisms": _law_zero_morphisms,
     "cancellation-agreement": _each(1, 3, 4, _law_cancellation_agreement),
-    "monoid-size": _law_monoid_size,
-    "monoid-closure": _law_monoid_closure,
-    "idempotent-census": _law_idempotent_census,
-    "unique-inverses": _law_unique_inverses,
+    "monoid-size": _each_object(None, _law_monoid_size),
+    "monoid-closure": _each_object(3, _law_monoid_closure),
+    "idempotent-census": _each_object(3, _law_idempotent_census),
+    "unique-inverses": _each_object(3, _law_unique_inverses),
     "wagner-preston": _law_wagner_preston,
     "involution": _law_involution,
     "annihilator-projection": _each(1, 3, None, _law_annihilator_projection),
-    "closed-projection": _law_closed_projection,
+    "closed-projection": _each_object(None, _law_closed_projection),
     "baer-annihilator": _each(1, 2, None, _law_baer_annihilator),
     "kernel-universal": _each(1, 2, None, _law_kernel_universal),
     "factorization": _each(1, 3, 4, _law_factorization),
     "kernel-cokernel": _each(1, 3, 4, _law_kernel_cokernel),
     "normal-conormal": _each(1, 3, None, _law_normal_conormal),
     "balanced": _law_balanced,
-    "ses-construction": _law_ses_construction,
-    "grid-completion": _law_grid_completion,
-    "noether-first": _law_noether_first,
-    "noether-second": _law_noether_second,
+    "ses-construction": _each_object(5, _law_ses_construction),
+    "grid-completion": _each_object(4, _law_grid_completion),
+    "noether-first": _each_object(5, _law_noether_first),
+    "noether-second": _each_object(5, _law_noether_second),
 }
 
 

@@ -84,10 +84,18 @@ class CayleyTable:
     @classmethod
     def from_operation(cls, elements: Sequence[str],
                        op: Callable[[str, str], str]) -> "CayleyTable":
+        """The table of ``op`` on ``elements``; a product ``op`` names
+        outside ``elements`` is a :class:`TableShapeError`."""
         elems = tuple(elements)
         pos = {e: i for i, e in enumerate(elems)}
-        table = tuple(tuple(pos[op(a, b)] for b in elems) for a in elems)
-        return cls(elems, table)
+
+        def index(a: str, b: str) -> int:
+            c = op(a, b)
+            if c not in pos:
+                raise TableShapeError(f"product {a}*{b} = {c!r} is not an element")
+            return pos[c]
+
+        return cls(elems, tuple(tuple(index(a, b) for b in elems) for a in elems))
 
 
 def _trusted_table(elements: tuple[str, ...],

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import re
-from math import prod
+from math import factorial, prod
+from types import SimpleNamespace
 
 import pytest
 
-from pbcat import cli, laws, textio
+from pbcat import baer, cli, exact, laws, monoid, textio
 from pbcat.baer import kernel
 from pbcat.cli import main
 from pbcat.core import FinSet, InternalContradictionError, PBij, compose, enumerate_pbij, inverse
@@ -289,6 +290,173 @@ def test_per_case_laws_check_their_closed_form_count(name):
     for cap in range(7):
         assert run_law(name, cap, 0).checked == closed_form_count(
             length, exhaustive_to, sampled_from, cap), cap
+
+
+
+def _upto(bound, cap):
+    return range(min(cap, bound) + 1)
+
+
+# the laws that are not per-case: the cases each checks at --max-size c,
+# counted without pbcat; closed_form_count(..., None, c) counts chains alone
+OTHER_LAW_COUNTS = {
+    "inverse-laws": lambda c: closed_form_count(1, 3, None, c) + closed_form_count(2, 3, 4, c),
+    "idempotent-meet": lambda c: 4 ** min(c, 5),
+    "zero-morphisms": lambda c: sum(1 + pbij_count(a, b)
+                                    for a, b in itertools.product(_upto(3, c), repeat=2)),
+    "monoid-size": lambda c: c + 1,
+    "monoid-closure": lambda c: sum(pbij_count(n, n) * (1 + pbij_count(n, n))
+                                    for n in _upto(3, c)),
+    "idempotent-census": lambda c: sum(2 ** n for n in _upto(3, c)),
+    "unique-inverses": lambda c: sum(pbij_count(n, n) ** 2 for n in _upto(3, c)),
+    "wagner-preston": lambda c: 61,
+    "involution": lambda c: (closed_form_count(1, 3, None, c) + min(c, 3) + 1
+                             + closed_form_count(2, 2, 3, c)),
+    "closed-projection": lambda c: 2 ** (c + 1) - 1,
+    "balanced": lambda c: sum(factorial(n) for n in _upto(3, c)),
+    "ses-construction": lambda c: 2 ** (min(c, 5) + 1) - 1,
+    "grid-completion": lambda c: sum(3 ** n for n in _upto(4, c)),
+    "noether-first": lambda c: sum(3 ** n for n in _upto(5, c)),
+    "noether-second": lambda c: sum(4 ** n for n in _upto(5, c)),
+}
+
+
+def test_every_law_has_a_closed_form_count():
+    assert sorted(PER_CASE_LAWS.keys() | OTHER_LAW_COUNTS.keys()) == sorted(law_names())
+
+
+@pytest.mark.parametrize("name", list(OTHER_LAW_COUNTS))
+def test_other_laws_check_their_closed_form_count(name):
+    for cap in range(7):
+        assert run_law(name, cap, 0).checked == OTHER_LAW_COUNTS[name](cap), cap
+
+
+def _without_last_pair(f):
+    return PBij(f.source, f.target, list(f.items())[:-1])
+
+
+def _size_off_at_3(n):
+    return monoid.inverse_monoid_size(n) + (n == 3)
+
+
+def _i2_missing_one(X):
+    elements = monoid.symmetric_inverse_monoid(X)
+    return elements[:1] + elements[2:] if len(X) == 2 else elements
+
+
+def _census_missing_one(X):
+    found = monoid.idempotents_of(X)
+    return found[:-1] if len(X) == 3 else found
+
+
+def _inverses_not_unique_at_3(elements):
+    return len(elements[0].source) != 3 and monoid.unique_inverse_check(elements)
+
+
+def _short_annihilator(f):
+    e = baer.annihilator_projection(f)
+    return _without_last_pair(e) if (len(f.source), len(f.dom)) == (3, 1) else e
+
+
+def _short_ses(X, X1):
+    # ShortExactSeq would reject the shortened beta
+    ses = exact.make_ses(X, X1)
+    if (len(ses.V), len(ses.U)) != (4, 2):
+        return ses
+    return SimpleNamespace(U=ses.U, V=ses.V, W=ses.W, alpha=ses.alpha,
+                           beta=_without_last_pair(ses.beta))
+
+
+def _short_completion(grid):
+    phi, psi = exact.complete_3x3(grid)
+    (x1, _, _), (x2, X, _), _ = grid.objects
+    if (len(X), len(x1), len(x2)) == (3, 1, 2):
+        psi = _without_last_pair(psi)
+    return phi, psi
+
+
+def _short_first_iso(X, X1, X2):
+    iso = exact.noether_first(X, X1, X2)
+    return _without_last_pair(iso) if (len(X), len(X1)) == (4, 1) else iso
+
+
+def _short_second_iso(X, X1, X2):
+    iso = exact.noether_second(X, X1, X2)
+    return _without_last_pair(iso) if (len(X), len(X1), len(X2)) == (4, 2, 3) else iso
+
+
+# sha256 of check-axioms --seed 3 stdout, with the exit code and the FAIL
+# lines, when a library function the per-object laws call is broken at one
+# size; these reports carry the case counts at the failure and the witnesses
+OBJECT_LAW_MUTANTS = {
+    ("inverse_monoid_size", _size_off_at_3, "3"): (
+        1, "b21fe9732d7ebb92755614a10f3e3a8b23fa2050b992fdf2ec5c784dba0f8baf",
+        ("FAIL monoid-size (4 cases)",)),
+    ("inverse_monoid_size", _size_off_at_3, "6"): (
+        1, "e1a65ef3f4bb83561abce1328032fefe621e86a9392730316e51db0ffad534d4",
+        ("FAIL monoid-size (4 cases)",)),
+    ("symmetric_inverse_monoid", _i2_missing_one, "3"): (
+        1, "f242f9a6f3f42f7ac774d48ad51b7c25a16759ab6942babd80cdc672b78a923d",
+        ("FAIL monoid-size (3 cases)", "FAIL monoid-closure (19 cases)",
+         "FAIL idempotent-census (6 cases)", "FAIL wagner-preston (0 cases)")),
+    ("symmetric_inverse_monoid", _i2_missing_one, "6"): (
+        1, "398c93b3ad21c7a8a9710a4a54f2577b72b386200839a8f3944fae1ebfec102e",
+        ("FAIL monoid-size (3 cases)", "FAIL monoid-closure (19 cases)",
+         "FAIL idempotent-census (6 cases)", "FAIL wagner-preston (0 cases)")),
+    ("idempotents_of", _census_missing_one, "3"): (
+        1, "8529e92e956c6a3734930b5685101eb82ef9007447ab52dac05ca3325bfe57dc",
+        ("FAIL idempotent-census (15 cases)",)),
+    ("idempotents_of", _census_missing_one, "6"): (
+        1, "225afcfc978062f9faf64c98abf820714d1f19b6605e1f5cd08b15daecff117f",
+        ("FAIL idempotent-census (15 cases)",)),
+    ("unique_inverse_check", _inverses_not_unique_at_3, "3"): (
+        1, "555a8d93c91d3af0ebe2f5487229238e8a58d81813eefb8c47bb779931d9ca51",
+        ("FAIL unique-inverses (1210 cases)",)),
+    ("unique_inverse_check", _inverses_not_unique_at_3, "6"): (
+        1, "89811dc722276d91e6285d9c2850466f21de7d2a09984fa6733183442d3a54b7",
+        ("FAIL unique-inverses (1210 cases)",)),
+    ("annihilator_projection", _short_annihilator, "3"): (
+        1, "852c1a7724b7da66974cec5a5869626d5f305ddce05abc6cf9313760e84a5802",
+        ("FAIL annihilator-projection (41 cases)", "FAIL closed-projection (11 cases)")),
+    ("annihilator_projection", _short_annihilator, "6"): (
+        1, "e3200eabe062db637908bd41324b0e63f152e26d584fd60c3f7292e009b081d2",
+        ("FAIL annihilator-projection (41 cases)", "FAIL closed-projection (11 cases)")),
+    ("make_ses", _short_ses, "3"): (
+        0, "e12e8206931755f69b8faabd0bba41eade6889ff9933cc862219e5e893d480a4",
+        ()),
+    ("make_ses", _short_ses, "6"): (
+        1, "5c59412147d17905a5edfd3739ef1c7a6cd0ba92611d3a055696f58ee843798f",
+        ("FAIL ses-construction (21 cases)", "FAIL grid-completion (50 cases)")),
+    ("complete_3x3", _short_completion, "3"): (
+        1, "d5cb84e71adfb27486dbef0a6cb219221ada8a992274518dbf75cf9cca7908c1",
+        ("FAIL grid-completion (22 cases)",)),
+    ("complete_3x3", _short_completion, "6"): (
+        1, "6e6125ecd10aa24a6185b991369c0e045cecbfa00ebcec485839e98a2fe7645b",
+        ("FAIL grid-completion (22 cases)",)),
+    ("noether_first", _short_first_iso, "3"): (
+        0, "e12e8206931755f69b8faabd0bba41eade6889ff9933cc862219e5e893d480a4",
+        ()),
+    ("noether_first", _short_first_iso, "6"): (
+        1, "6e2bdbe181b64c7aa06ab856fcfa865a703f2a258e1ec8f88e42fd305f1d1211",
+        ("FAIL noether-first (43 cases)",)),
+    ("noether_second", _short_second_iso, "3"): (
+        0, "e12e8206931755f69b8faabd0bba41eade6889ff9933cc862219e5e893d480a4",
+        ()),
+    ("noether_second", _short_second_iso, "6"): (
+        1, "e701db2e4f2b16a81a3ccc11e0c3f4cabcd14ea8f4359a52d5f2332420bd42ef",
+        ("FAIL noether-second (177 cases)",)),
+}
+
+
+@pytest.mark.parametrize("op, broken, size", list(OBJECT_LAW_MUTANTS),
+                         ids=lambda v: getattr(v, "__name__", v).lstrip("_"))
+def test_object_law_failures_match_their_pinned_digest(capsys, monkeypatch, op, broken, size):
+    monkeypatch.setattr(f"pbcat.laws.{op}", broken)
+    code, out, err = run_cli(capsys, "check-axioms", "--max-size", size, "--seed", "3")
+    expected_code, digest, fails = OBJECT_LAW_MUTANTS[op, broken, size]
+    assert code == expected_code and err == ""
+    assert tuple(re.findall(r"^FAIL .*", out, re.M)) == fails
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_run_all_runs_every_law_in_registry_order():

@@ -58,6 +58,20 @@ def test_table_shape_validation():
         CayleyTable(("a", "a"), ((0, 0), (0, 0)))
 
 
+
+def test_from_operation_rejects_a_product_outside_the_elements():
+    with pytest.raises(TableShapeError, match=r"product a\*b = 'c' is not an element"):
+        CayleyTable.from_operation(("a", "b"), lambda x, y: "c" if (x, y) == ("a", "b") else x)
+
+
+def test_from_operation_lets_an_error_inside_the_operation_through():
+    def op(x, y):
+        raise KeyError(y)
+
+    with pytest.raises(KeyError) as exc:
+        CayleyTable.from_operation(("a", "b"), op)
+    assert exc.type is KeyError and exc.value.args == ("a",)
+
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 2), (2, 7), (3, 34)])
 def test_symmetric_inverse_monoid_sizes(n, count):
     monoid = symmetric_inverse_monoid(universe(n))
