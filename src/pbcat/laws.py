@@ -7,22 +7,25 @@ law reports how many cases it checked and, on failure, a serialized first
 counterexample.  Registry order is fixed so reports are reproducible
 byte for byte for a given (max_size, seed) pair.
 
-A law is a generator ``(cap, rng) -> Iterator[Step]`` and :func:`run_law`
-is its only driver.  A step is ``(cases, failure)``.  ``cases`` is what
-the step adds to the law's count: usually 1, the number of elements a
-whole-monoid step covers, or 0 for a further check on a case already
-counted.  ``failure`` is None, or a ``(description, {label: morphism})``
-pair whose morphisms are serialized as the counterexample.  The first
-failure ends the law, and the reported count includes that step.
+A law is a tuple of sweeps, and :func:`run_law` is the one loop that runs
+them: it chains them in order and hands them one RNG.  A sweep is a generator
+``(cap, rng) -> Iterator[Step]``.  A step is ``(cases, failure)``.
+``cases`` is what the step adds to the law's count: usually 1, the number
+of elements a whole-monoid step covers, or 0 for a further check on a
+case already counted.  ``failure`` is None, or a ``(description, {label:
+morphism})`` pair whose morphisms are serialized as the counterexample.
+The first failure ends the law, and the reported count includes that step.
 
-Most laws check one chain of composable morphisms at a time.  Such a law
-is a plain check ``(f, g, ...) -> description | None`` registered through
-:func:`_each`, which declares its chain length, its exhaustive bound and
-the first size it samples.  A printed counterexample replays through the
-check: parsed back in label order, it yields the printed description.
-Most other laws check one object X = {1..n} at a time.  Such a law is a
-step function ``(n, X) -> Iterator[Step]`` registered through
-:func:`_each_object`, which declares its exhaustive bound.
+Three functions make the sweeps, each declaring its bound.  Most sweeps
+check one chain of composable morphisms at a time through a plain check
+``(f, g, ...) -> description | None``: :func:`_chains` runs it on every
+chain up to a size bound, :func:`_samples` on random chains from a size
+up to the cap, and :func:`_each` is the two together.  A printed
+counterexample replays through the check: parsed back in label order, it
+yields the printed description.  Most other sweeps check one object
+X = {1..n} at a time: :func:`_objects` runs a step function
+``(n, X) -> Iterator[Step]`` at every size up to its bound.  Three laws
+keep a hand-written sweep; the comment above :data:`LAWS` says why.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .baer import (
     annihilator_projection,
@@ -73,7 +76,8 @@ _SAMPLES = 30
 
 Failure = tuple[str, dict[str, PBij]]
 Step = tuple[int, Failure | None]
-_Law = Callable[[int, random.Random], Iterator[Step]]
+_Sweep = Callable[[int, random.Random], Iterator[Step]]
+_Check = Callable[..., str | None]
 
 
 @dataclass(frozen=True)
@@ -111,14 +115,25 @@ _PROBES = (FinSet(), _mid(1), _mid(2))
 _CHAIN = (_src, _tgt, _mid, _src)
 
 
-def _composable(length: int, bound: int) -> Iterator[tuple[PBij, ...]]:
-    """Every chain of ``length`` composable morphisms over the ``_CHAIN``
-    objects, each of size at most ``bound``; the sizes vary slowest, then
-    the first morphism, then the next."""
-    for sizes in itertools.product(range(bound + 1), repeat=length + 1):
-        objects = [make(n) for make, n in zip(_CHAIN, sizes)]
-        yield from itertools.product(
-            *(enumerate_pbij(X, Y) for X, Y in zip(objects, objects[1:])))
+def _checked(check: _Check, chains: Iterable[tuple[PBij, ...]]) -> Iterator[Step]:
+    """One case per chain; a failing chain labels its morphisms f, g, h in
+    order."""
+    for chain in chains:
+        description = check(*chain)
+        yield 1, None if description is None else (description, dict(zip("fgh", chain)))
+
+
+def _chains(length: int, bound: int, check: _Check) -> _Sweep:
+    """The sweep that runs ``check`` on every chain of ``length`` composable
+    morphisms over the ``_CHAIN`` objects, each of size at most ``bound``
+    (never above the cap); the sizes vary slowest, then the first
+    morphism, then the next."""
+    def sweep(cap: int, rng: random.Random) -> Iterator[Step]:
+        for sizes in itertools.product(range(min(cap, bound) + 1), repeat=length + 1):
+            objects = [make(n) for make, n in zip(_CHAIN, sizes)]
+            yield from _checked(check, itertools.product(
+                *(enumerate_pbij(X, Y) for X, Y in zip(objects, objects[1:]))))
+    return sweep
 
 
 def _random_pbij(rng: random.Random, X: FinSet, Y: FinSet) -> PBij:
@@ -126,44 +141,35 @@ def _random_pbij(rng: random.Random, X: FinSet, Y: FinSet) -> PBij:
     return PBij(X, Y, zip(rng.sample(X.elements, k), rng.sample(Y.elements, k)))
 
 
-def _sampled(rng: random.Random, length: int, lo: int, cap: int
-             ) -> Iterator[tuple[PBij, ...]]:
-    """``_SAMPLES`` random chains of ``length`` composable morphisms over
-    the ``_CHAIN`` objects, all of size n, at each n from ``lo`` to
-    ``cap``."""
-    for n in range(lo, cap + 1):
-        objects = [make(n) for make in _CHAIN[:length + 1]]
-        for _ in range(_SAMPLES):
-            yield tuple(_random_pbij(rng, X, Y) for X, Y in zip(objects, objects[1:]))
+def _samples(length: int, lo: int, check: _Check) -> _Sweep:
+    """The sweep that runs ``check`` on ``_SAMPLES`` random chains of
+    ``length`` composable morphisms over the ``_CHAIN`` objects, all of
+    size n, at each n from ``lo`` to the cap."""
+    def sweep(cap: int, rng: random.Random) -> Iterator[Step]:
+        for n in range(lo, cap + 1):
+            objects = [make(n) for make in _CHAIN[:length + 1]]
+            yield from _checked(check, (
+                tuple(_random_pbij(rng, X, Y) for X, Y in zip(objects, objects[1:]))
+                for _ in range(_SAMPLES)))
+    return sweep
 
 
 def _each(length: int, exhaustive_to: int, sampled_from: int | None,
-          check: Callable[..., str | None]) -> _Law:
-    """The law that runs ``check`` on every chain of ``length`` composable
-    morphisms up to size ``exhaustive_to`` (never above the cap), then on
-    ``_SAMPLES`` random chains at each size from ``sampled_from`` to the
-    cap (none if it is None).  Each chain is one case; a failing chain
-    labels its morphisms f, g, h in order."""
-    def law(cap: int, rng: random.Random) -> Iterator[Step]:
-        chains = _composable(length, min(cap, exhaustive_to))
-        if sampled_from is not None:
-            chains = itertools.chain(chains, _sampled(rng, length, sampled_from, cap))
-        for chain in chains:
-            description = check(*chain)
-            yield 1, None if description is None else (description, dict(zip("fgh", chain)))
-    return law
+          check: _Check) -> tuple[_Sweep, ...]:
+    """Every chain up to size ``exhaustive_to``, then samples from size
+    ``sampled_from`` to the cap (none if it is None)."""
+    chains = (_chains(length, exhaustive_to, check),)
+    return chains if sampled_from is None else (*chains, _samples(length, sampled_from, check))
 
 
-def _each_object(exhaustive_to: int | None,
-                 steps: Callable[[int, FinSet], Iterator[Step]]) -> _Law:
-    """The law that runs ``steps(n, X)`` on the object X = {1..n} at every
-    size n up to ``exhaustive_to`` (never above the cap), or up to the cap
+def _objects(bound: int | None, steps: Callable[[int, FinSet], Iterator[Step]]) -> _Sweep:
+    """The sweep that runs ``steps(n, X)`` on the object X = {1..n} at
+    every size n up to ``bound`` (never above the cap), or up to the cap
     if it is None."""
-    def law(cap: int, rng: random.Random) -> Iterator[Step]:
-        bound = cap if exhaustive_to is None else min(cap, exhaustive_to)
-        for n in range(bound + 1):
+    def sweep(cap: int, rng: random.Random) -> Iterator[Step]:
+        for n in range((cap if bound is None else min(cap, bound)) + 1):
             yield from steps(n, _src(n))
-    return law
+    return sweep
 
 
 def _law_composition_closure(f: PBij, g: PBij) -> str | None:
@@ -190,26 +196,29 @@ def _law_identity_neutrality(f: PBij) -> str | None:
     return None
 
 
-def _law_inverse_laws(cap: int, rng: random.Random) -> Iterator[Step]:
-    """f⁻¹∘f = 1_dom, f∘f⁻¹ = 1_im, (f⁻¹)⁻¹ = f, f∘f⁻¹∘f = f, and
-    (g∘f)⁻¹ = f⁻¹∘g⁻¹."""
-    def bad_unary(f: PBij) -> bool:
-        g = inverse(f)
-        return (compose(g, f) != partial_identity(f.source, f.dom)
-                or compose(f, g) != partial_identity(f.target, f.im)
-                or inverse(g) != f
-                or compose(f, compose(g, f)) != f)
+def _law_inverse(f: PBij) -> str | None:
+    """f⁻¹∘f = 1_dom, f∘f⁻¹ = 1_im, (f⁻¹)⁻¹ = f and f∘f⁻¹∘f = f."""
+    g = inverse(f)
+    if (compose(g, f) != partial_identity(f.source, f.dom)
+            or compose(f, g) != partial_identity(f.target, f.im)
+            or inverse(g) != f
+            or compose(f, compose(g, f)) != f):
+        return "inverse law broken"
+    return None
 
-    def bad_contravariance(f: PBij, g: PBij) -> bool:
-        return inverse(compose(g, f)) != compose(inverse(f), inverse(g))
 
-    for (f,) in _composable(1, min(cap, 3)):
-        yield 1, _failure_if(bad_unary(f), "inverse law broken", f=f)
-    for f, g in _composable(2, min(cap, 3)):
-        yield 1, _failure_if(bad_contravariance(f, g), "contravariance broken", f=f, g=g)
-    for f, g in _sampled(rng, 2, 4, cap):
-        yield 1, _failure_if(bad_unary(f) or bad_contravariance(f, g),
-                             "inverse law broken", f=f, g=g)
+def _law_contravariance(f: PBij, g: PBij) -> str | None:
+    """(g∘f)⁻¹ = f⁻¹∘g⁻¹."""
+    if inverse(compose(g, f)) != compose(inverse(f), inverse(g)):
+        return "contravariance broken"
+    return None
+
+
+def _law_inverse_pair(f: PBij, g: PBij) -> str | None:
+    """Both inverse laws on one sampled pair, reported as one."""
+    if _law_inverse(f) or _law_contravariance(f, g):
+        return "inverse law broken"
+    return None
 
 
 def _law_idempotent_meet(cap: int, rng: random.Random) -> Iterator[Step]:
@@ -246,7 +255,7 @@ def _law_cancellation_agreement(f: PBij) -> str | None:
     dom-full/im-full criteria."""
     if (cancellation_oracle(f, "left", _PROBES) != f.is_mono
             or cancellation_oracle(f, "right", _PROBES) != f.is_epi):
-        return "oracle disagrees with classify"
+        return "cancellation oracle disagrees with is_mono/is_epi"
     return None
 
 
@@ -331,20 +340,27 @@ def _law_wagner_preston(cap: int, rng: random.Random) -> Iterator[Step]:
                          "left-zero rejection lacks the expected witness")
 
 
-def _law_involution(cap: int, rng: random.Random) -> Iterator[Step]:
-    """f** = f, identities are self-dual, and (g∘f)* = f*∘g*."""
-    for (f,) in _composable(1, min(cap, 3)):
-        yield 1, _failure_if(star(star(f)) != f, "double star differs", f=f)
-    for n in range(min(cap, 3) + 1):
-        yield 1, _failure_if(star(identity(_src(n))) != identity(_src(n)),
-                             f"identity not self-dual at size {n}")
-    for f, g in _composable(2, min(cap, 2)):
-        yield 1, _failure_if(star(compose(g, f)) != compose(star(f), star(g)),
-                             "star contravariance broken", f=f, g=g)
-    for f, g in _sampled(rng, 2, 3, cap):
-        yield 1, _failure_if(
-            star(compose(g, f)) != compose(star(f), star(g)) or star(star(f)) != f,
-            "star law broken", f=f, g=g)
+def _law_double_star(f: PBij) -> str | None:
+    """f** = f."""
+    return "double star differs" if star(star(f)) != f else None
+
+
+def _law_self_dual_identity(n: int, X: FinSet) -> Iterator[Step]:
+    """1_X* = 1_X."""
+    yield 1, _failure_if(star(identity(X)) != identity(X),
+                         f"identity not self-dual at size {n}")
+
+
+def _law_star_contravariance(f: PBij, g: PBij) -> str | None:
+    """(g∘f)* = f*∘g*."""
+    if star(compose(g, f)) != compose(star(f), star(g)):
+        return "star contravariance broken"
+    return None
+
+
+def _law_star_pair(f: PBij, g: PBij) -> str | None:
+    """Both star laws on one sampled pair, reported as one."""
+    return "star law broken" if _law_star_contravariance(f, g) or _law_double_star(f) else None
 
 
 def _law_annihilator_projection(f: PBij) -> str | None:
@@ -417,9 +433,10 @@ def _law_normal_conormal(f: PBij) -> str | None:
     return None
 
 
-def _law_balanced(cap: int, rng: random.Random) -> Iterator[Step]:
-    """mono + epi forces a two-sided inverse."""
-    for (f,) in _composable(1, min(cap, 3)):
+def _law_balanced(n: int, X: FinSet) -> Iterator[Step]:
+    """mono + epi forces a two-sided inverse; an isomorphism from X lands
+    only in the object of X's size."""
+    for f in enumerate_pbij(X, _tgt(n)):
         if f.is_mono and f.is_epi:
             g = inverse(f)
             yield 1, _failure_if(compose(g, f) != identity(f.source)
@@ -467,36 +484,42 @@ def _law_noether_second(n: int, X: FinSet) -> Iterator[Step]:
                              "unexpected isomorphism", iso=iso)
 
 
-# per-case laws: _each(chain length, exhaustive to, sampled from, check);
-# per-object laws: _each_object(exhaustive to, or None for the cap, steps);
-# the other six sweep otherwise (size pairs, fixed tables, isos alone, two
-# bounds) and are their own generators
-LAWS: dict[str, _Law] = {
+# each law is a tuple of sweeps, built by _chains(chain length, bound, check),
+# _samples(chain length, first size, check), _objects(bound, or None for the
+# cap, steps) and _each(chain length, exhaustive to, sampled from, check) for
+# chains then samples; three laws keep a sweep of their own: idempotent-meet
+# checks the top size alone, wagner-preston fixed tables whatever the cap, and
+# zero-morphisms checks each size pair's empty-set Hom-sets before that pair's
+# morphisms (a sweep of the former alone would fail a missing zero at a
+# different count)
+LAWS: dict[str, tuple[_Sweep, ...]] = {
     "composition-closure": _each(2, 3, 4, _law_composition_closure),
     "associativity": _each(3, 2, 3, _law_associativity),
     "identity-neutrality": _each(1, 3, 4, _law_identity_neutrality),
-    "inverse-laws": _law_inverse_laws,
-    "idempotent-meet": _law_idempotent_meet,
-    "zero-morphisms": _law_zero_morphisms,
+    "inverse-laws": (_chains(1, 3, _law_inverse), _chains(2, 3, _law_contravariance),
+                     _samples(2, 4, _law_inverse_pair)),
+    "idempotent-meet": (_law_idempotent_meet,),
+    "zero-morphisms": (_law_zero_morphisms,),
     "cancellation-agreement": _each(1, 3, 4, _law_cancellation_agreement),
-    "monoid-size": _each_object(None, _law_monoid_size),
-    "monoid-closure": _each_object(3, _law_monoid_closure),
-    "idempotent-census": _each_object(3, _law_idempotent_census),
-    "unique-inverses": _each_object(3, _law_unique_inverses),
-    "wagner-preston": _law_wagner_preston,
-    "involution": _law_involution,
+    "monoid-size": (_objects(None, _law_monoid_size),),
+    "monoid-closure": (_objects(3, _law_monoid_closure),),
+    "idempotent-census": (_objects(3, _law_idempotent_census),),
+    "unique-inverses": (_objects(3, _law_unique_inverses),),
+    "wagner-preston": (_law_wagner_preston,),
+    "involution": (_chains(1, 3, _law_double_star), _objects(3, _law_self_dual_identity),
+                   _chains(2, 2, _law_star_contravariance), _samples(2, 3, _law_star_pair)),
     "annihilator-projection": _each(1, 3, None, _law_annihilator_projection),
-    "closed-projection": _each_object(None, _law_closed_projection),
+    "closed-projection": (_objects(None, _law_closed_projection),),
     "baer-annihilator": _each(1, 2, None, _law_baer_annihilator),
     "kernel-universal": _each(1, 2, None, _law_kernel_universal),
     "factorization": _each(1, 3, 4, _law_factorization),
     "kernel-cokernel": _each(1, 3, 4, _law_kernel_cokernel),
     "normal-conormal": _each(1, 3, None, _law_normal_conormal),
-    "balanced": _law_balanced,
-    "ses-construction": _each_object(5, _law_ses_construction),
-    "grid-completion": _each_object(4, _law_grid_completion),
-    "noether-first": _each_object(5, _law_noether_first),
-    "noether-second": _each_object(5, _law_noether_second),
+    "balanced": (_objects(3, _law_balanced),),
+    "ses-construction": (_objects(5, _law_ses_construction),),
+    "grid-completion": (_objects(4, _law_grid_completion),),
+    "noether-first": (_objects(5, _law_noether_first),),
+    "noether-second": (_objects(5, _law_noether_second),),
 }
 
 
@@ -505,11 +528,14 @@ def law_names() -> tuple[str, ...]:
 
 
 def run_law(name: str, max_size: int, seed: int) -> LawResult:
-    """Run one law; the per-law RNG stream depends only on (seed, name)."""
+    """Run one law, its sweeps in order; they share one RNG whose stream
+    depends only on (seed, name)."""
     if name not in LAWS:
         raise KeyError(f"unknown law {name!r}")
+    rng = random.Random(f"{seed}/{name}")
     checked = 0
-    for cases, failure in LAWS[name](max_size, random.Random(f"{seed}/{name}")):
+    for cases, failure in itertools.chain.from_iterable(
+            sweep(max_size, rng) for sweep in LAWS[name]):
         checked += cases
         if failure is not None:
             description, morphisms = failure

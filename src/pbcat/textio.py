@@ -139,11 +139,16 @@ def _parse_pairs(cursor: _Lines, stop_keywords: Sequence[str]) -> list[tuple[str
 
 
 def _build_pbij(source: FinSet, target: FinSet, pairs: list[tuple[str, str]],
-                lineno: int) -> PBij:
+                header_line: int) -> PBij:
+    """The morphism whose pairs sit one per line after ``header_line``.  The
+    constructor reads the pairs in order and stops at the first one that
+    breaks the morphism, so the pairs it left unread give that pair's line."""
+    unread = iter(pairs)
     try:
-        return PBij(source, target, pairs)
+        return PBij(source, target, unread)
     except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
+        line = header_line + len(pairs) - sum(1 for _ in unread)
+        raise ParseError(line, str(exc)) from None
 
 
 def parse_pbij(text: str) -> tuple[str, PBij]:
@@ -169,7 +174,7 @@ def parse_pbij(text: str) -> tuple[str, PBij]:
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
     pairs = _parse_pairs(cursor, stop_keywords=())
-    f = _build_pbij(source, target, pairs, cursor.lineno)
+    f = _build_pbij(source, target, pairs, lineno)
     cursor.expect_end("the morphism block")
     return name, f
 

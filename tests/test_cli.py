@@ -9,7 +9,8 @@ import pytest
 from pbcat import baer, cli, exact, laws, monoid, textio
 from pbcat.baer import kernel
 from pbcat.cli import main
-from pbcat.core import FinSet, InternalContradictionError, PBij, compose, enumerate_pbij, inverse
+from pbcat.core import (FinSet, InternalContradictionError, PBij, cancellation_oracle, compose,
+                        enumerate_pbij, inverse)
 from pbcat.exact import build_noether_grid
 from pbcat.laws import law_names, run_all, run_law
 from pbcat.textio import parse_pbij, serialize_cayley, serialize_grid, serialize_pbij
@@ -238,12 +239,42 @@ def counterexamples(report):
     return out
 
 
-# the per-case laws whose witnesses check-axioms --max-size 6 --seed 3
-# prints under each mutation of FAILING_REPORTS
+# the named checks of the laws registered as several sweeps, by law, printed
+# description and witness length
+SWEEP_CHECKS = {
+    ("inverse-laws", "inverse law broken", 1): laws._law_inverse,
+    ("inverse-laws", "contravariance broken", 2): laws._law_contravariance,
+    ("inverse-laws", "inverse law broken", 2): laws._law_inverse_pair,
+    ("involution", "double star differs", 1): laws._law_double_star,
+    ("involution", "star contravariance broken", 2): laws._law_star_contravariance,
+    ("involution", "star law broken", 2): laws._law_star_pair,
+}
+_SWEPT = {name for name, _, _ in SWEEP_CHECKS}
+
+
+def replays(report):
+    """(law, description, check, morphisms) for each witness of a check-axioms
+    report that a named check can replay, having checked that its morphisms
+    are labelled f, g, h in order and that the check prints its description."""
+    out = []
+    for name, description, witness in counterexamples(report):
+        if witness and (name in PER_CASE_LAWS or name in _SWEPT):
+            assert [label for label, _ in witness] == list("fgh"[:len(witness)])
+            morphisms = [m for _, m in witness]
+            check = (PER_CASE_LAWS[name][3] if name in PER_CASE_LAWS
+                     else SWEEP_CHECKS[name, description, len(morphisms)])
+            assert check(*morphisms) == description
+            out.append((name, description, check, morphisms))
+    return out
+
+
+# the laws whose witnesses check-axioms --max-size 6 --seed 3 prints, and a
+# named check replays, under each mutation of FAILING_REPORTS
 REPLAYED = {
-    _empty_compose: {"composition-closure", "identity-neutrality", "factorization"},
-    _swapped_compose: {"composition-closure"},
-    _lossy_inverse: {"factorization"},
+    _empty_compose: {"composition-closure", "identity-neutrality", "inverse-laws",
+                     "factorization"},
+    _swapped_compose: {"composition-closure", "inverse-laws"},
+    _lossy_inverse: {"inverse-laws", "factorization"},
 }
 
 
@@ -258,18 +289,52 @@ def test_printed_witnesses_replay_through_their_law_check(capsys, monkeypatch, o
     # its own: extract_morphisms would glue blocks printed back to back
     assert "\n\n\n" not in out
     assert len(extract_morphisms(out)) == len(re.findall(r"^pbij ", out, re.M))
-    replays = []
-    for name, description, witness in counterexamples(out):
-        if name in PER_CASE_LAWS and witness:
-            assert [label for label, _ in witness] == list("fgh"[:len(witness)])
-            morphisms = [m for _, m in witness]
-            assert PER_CASE_LAWS[name][3](*morphisms) == description
-            replays.append((name, morphisms))
-    assert {name for name, _ in replays} == REPLAYED[broken]
+    replayed = replays(out)
+    assert {name for name, *_ in replayed} == REPLAYED[broken]
+    # every mutation breaks the unary inverse laws on a one-morphism witness
+    assert [(description, check, len(morphisms))
+            for name, description, check, morphisms in replayed
+            if name == "inverse-laws"] == [("inverse law broken", laws._law_inverse, 1)]
     # the witnesses blame the mutation: the library itself passes them
     monkeypatch.undo()
-    for name, morphisms in replays:
-        assert PER_CASE_LAWS[name][3](*morphisms) is None
+    for _, _, check, morphisms in replayed:
+        assert check(*morphisms) is None
+
+
+def _dropped_star(f):
+    s = baer.star(f)
+    return PBij(s.source, s.target, list(s.items())[1:])
+
+
+def _oracle_flipped_at_2(f, side, probes):
+    return cancellation_oracle(f, side, probes) != (len(f.source) == 2)
+
+
+# mutations of functions that no other committed mutation breaks: under each,
+# check-axioms --max-size 6 --seed 3 fails one law alone, with this FAIL line
+# and description
+LONE_LAW_MUTANTS = {
+    ("star", _dropped_star): ("FAIL involution (7 cases)", "double star differs"),
+    ("cancellation_oracle", _oracle_flipped_at_2): (
+        "FAIL cancellation-agreement (15 cases)",
+        "cancellation oracle disagrees with is_mono/is_epi"),
+}
+
+
+@pytest.mark.parametrize("op, broken", list(LONE_LAW_MUTANTS),
+                         ids=lambda v: getattr(v, "__name__", v).lstrip("_"))
+def test_lone_law_mutants_fail_their_law_with_a_replayable_witness(capsys, monkeypatch,
+                                                                    op, broken):
+    monkeypatch.setattr(f"pbcat.laws.{op}", broken)
+    code, out, err = run_cli(capsys, "check-axioms", "--max-size", "6", "--seed", "3")
+    fail_line, expected = LONE_LAW_MUTANTS[op, broken]
+    assert code == 1 and err == ""
+    assert re.findall(r"^FAIL .*", out, re.M) == [fail_line]
+    assert out.endswith("\nresult: FAIL (24/25 laws)\n")
+    [(_, description, check, morphisms)] = replays(out)
+    assert description == expected
+    monkeypatch.undo()
+    assert check(*morphisms) is None
 
 
 def closed_form_count(length, exhaustive_to, sampled_from, cap):

@@ -65,8 +65,9 @@ def test_pbij_round_trip_seeded_random_morphisms():
     ("pbij f : 1 2 -> a -> b\n", 1, "exactly one '->'"),
     ("pbij f : 1 1 -> a\n", 1, "duplicate"),
     ("pbij f : 1 -> a\n1 a\n", 2, "expected 'x -> y'"),
-    ("pbij f : 1 -> a\n2 -> a\n", 3, "not in the source"),
-    ("pbij f : 1 2 -> a\n1 -> a\n2 -> a\n", 4, "hit twice"),
+    ("pbij f : 1 -> a\n2 -> a\n", 2, "not in the source"),
+    ("pbij f : 1 2 -> a\n1 -> a\n2 -> a\n", 3, "hit twice"),
+    ("\npbij f : 1 2 3 -> a b c\n1 -> a\n1 -> a\n2 -> b\n3 -> b\n\n", 6, "hit twice"),
     ("pbij f : 1 -> a\n\nextra\n", 3, "unexpected content"),
     ("pbij x:y : 1 -> a\n", 1, "ambiguous"),
 ])
@@ -184,6 +185,16 @@ def test_parse_grid_errors(mangle, fragment):
     text = mangle(serialize_grid(grid_fixture()))
     with pytest.raises(ParseError, match=re.escape(fragment)):
         parse_grid(text)
+
+
+def test_parse_grid_names_the_line_of_the_pair_that_breaks_an_arrow():
+    text = serialize_grid(grid_fixture()).replace("2 -> 2\n3 -> 3", "2 -> 2\n9 -> 3")
+    lines = text.split("\n")
+    with pytest.raises(ParseError, match="'9' is not in the source") as err:
+        parse_grid(text)
+    # the arrow's header is two lines up
+    assert lines[err.value.line - 3] == "arrow (2,2)->(3,2):"
+    assert lines[err.value.line - 1] == "9 -> 3"
 
 
 def test_parse_grid_rejects_half_a_bottom_row():
