@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .baer import cokernel, factorize, kernel
@@ -94,7 +93,8 @@ def _flag(value: bool) -> str:
 
 
 def _read_input(args: argparse.Namespace) -> str:
-    return Path(args.input).read_text(encoding="utf-8")
+    with open(args.input, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _safe_run_law(name: str, args: argparse.Namespace) -> LawResult:
@@ -241,11 +241,14 @@ def _cmd_wagner_preston(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first ``main`` call.
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of this process and its table of commands, built on
+    the first ``main`` call.
 
-    It is the one table of commands: each subparser binds its handler as
-    ``run`` and checks its option values as argparse reads them.
+    The table is the ``choices`` of the subparsers action: each command's
+    own parser, which binds its handler as ``run`` and checks its option
+    values as argparse reads them.  ``main`` hands it the rest of an argv
+    that starts with its name, so such a request is parsed once.
 
     Building it costs more than answering a typical file request.  argparse
     returns a fresh Namespace per parse and looks up ``sys.stdout`` and
@@ -291,11 +294,33 @@ def _parser() -> argparse.ArgumentParser:
         "input", help="grid file")
     command("wagner-preston", _cmd_wagner_preston, "embed a Cayley-table semigroup").add_argument(
         "input", help="Cayley table file")
-    return parser
+    return parser, sub.choices
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The top-level parser: it parses an argv that does not start with a
+    command name (none at all, ``-h``, an unknown command, an option first)."""
+    return _parsers()[0]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Answer one request; returns the exit code.
+
+    An argv that starts with a command name is parsed once, by that
+    command's own parser; arguments it leaves over are refused by the
+    top-level parser in the words ``parse_args`` uses.  Any other argv goes
+    through the top-level parser, which prints its usage or help and exits.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         body, code = args.run(args)
     except ParseError as exc:

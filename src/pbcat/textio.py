@@ -78,10 +78,18 @@ def _parse_token(token: str, what: str, line: int) -> str:
 
 
 class _Lines:
-    """Cursor over input lines that tracks 1-based line numbers."""
+    """Cursor over input lines that tracks 1-based line numbers.
+
+    A final newline ends the last line rather than starting one, and an
+    empty input is one empty line.  So an input has at least one line, and
+    once a line is read, ``lineno`` names a line of the input, at the end
+    of the input too.
+    """
 
     def __init__(self, text: str):
         self.lines = text.split("\n")
+        if len(self.lines) > 1 and not self.lines[-1]:
+            self.lines.pop()
         self.pos = 0
 
     @property
@@ -281,7 +289,7 @@ def parse_grid(text: str) -> Grid3x3:
     for _ in range(9):
         line = cursor.next_content()
         if line is None:
-            raise ParseError(cursor.lineno + 1, "expected nine 'object ROW COL = ...' lines")
+            raise ParseError(cursor.lineno, "expected nine 'object ROW COL = ...' lines")
         tokens = line.split()
         if tokens[0] != "object" or len(tokens) < 4 or tokens[3] != "=":
             raise ParseError(cursor.lineno, f"expected 'object ROW COL = ...', got {line.strip()!r}")

@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import itertools
 import re
+import sys
 from math import factorial, prod
 from types import SimpleNamespace
 
 import pytest
 
 from pbcat import baer, cli, exact, laws, monoid, textio
-from pbcat.baer import kernel
+from pbcat.baer import annihilator_projection, kernel
 from pbcat.cli import main
 from pbcat.core import (FinSet, InternalContradictionError, PBij, cancellation_oracle, compose,
                         enumerate_pbij, inverse)
@@ -321,20 +323,80 @@ LONE_LAW_MUTANTS = {
 }
 
 
+def fails_only(capsys, monkeypatch, target, broken, failures):
+    """check-axioms --max-size 6 --seed 3 with ``target`` patched to
+    ``broken`` exits 1 with exactly these (FAIL line, description) pairs, and
+    each witness re-fails its law's check under the mutation and passes it
+    without."""
+    monkeypatch.setattr(target, broken)
+    code, out, err = run_cli(capsys, "check-axioms", "--max-size", "6", "--seed", "3")
+    assert code == 1 and err == ""
+    assert re.findall(r"^FAIL .*", out, re.M) == [line for line, _ in failures]
+    assert out.endswith(f"\nresult: FAIL ({25 - len(failures)}/25 laws)\n")
+    replayed = replays(out)
+    assert [description for _, description, _, _ in replayed] == [d for _, d in failures]
+    monkeypatch.undo()
+    for _, _, check, morphisms in replayed:
+        assert check(*morphisms) is None
+
+
 @pytest.mark.parametrize("op, broken", list(LONE_LAW_MUTANTS),
                          ids=lambda v: getattr(v, "__name__", v).lstrip("_"))
 def test_lone_law_mutants_fail_their_law_with_a_replayable_witness(capsys, monkeypatch,
                                                                     op, broken):
-    monkeypatch.setattr(f"pbcat.laws.{op}", broken)
-    code, out, err = run_cli(capsys, "check-axioms", "--max-size", "6", "--seed", "3")
-    fail_line, expected = LONE_LAW_MUTANTS[op, broken]
-    assert code == 1 and err == ""
-    assert re.findall(r"^FAIL .*", out, re.M) == [fail_line]
-    assert out.endswith("\nresult: FAIL (24/25 laws)\n")
-    [(_, description, check, morphisms)] = replays(out)
-    assert description == expected
-    monkeypatch.undo()
-    assert check(*morphisms) is None
+    fails_only(capsys, monkeypatch, f"pbcat.laws.{op}", broken, [LONE_LAW_MUTANTS[op, broken]])
+
+
+def _kernel_missing_a_point(f):
+    k = kernel(f)
+    kept = FinSet(k.object.elements[1:])
+    return baer.KernelPair(kept, PBij(kept, k.arrow.target,
+                                      [(x, y) for x, y in k.arrow.items() if x in kept]))
+
+
+def _flagged_at_2(f):
+    report = baer.normal_conormal_check(f)
+    if len(f.source) == 2 and not (f.is_mono or f.is_epi):
+        return baer.NormalityReport(report.normal_ok, report.conormal_ok, not_applicable=False)
+    return report
+
+
+def _swapped_between_disjoint_objects(f):
+    """The annihilator projection, with two points of its support swapped
+    when f runs between non-empty objects that share no point.  The
+    exactness constructions build their arrows between subsets of one set,
+    a kernel reads only the projection's image, and the cokernel laws test
+    their arrow's object and domain, not its pairs: so the Baer check is the
+    one law that sees the swap."""
+    e = annihilator_projection(f)
+    support = [x for x, _ in e.items()]
+    if len(support) < 2 or not f.target or f.source.intersection(f.target.elements):
+        return e
+    a, b = support[:2]
+    return PBij(e.source, e.target, [(x, {a: b, b: a}.get(x, x)) for x in support])
+
+
+# mutations that kill the laws no mutation above breaks: each patched
+# function, and the (FAIL line, description) pairs check-axioms --max-size 6
+# --seed 3 prints under it
+KERNEL_LAW_MUTANTS = {
+    ("pbcat.baer.kernel", _kernel_missing_a_point): [
+        ("FAIL kernel-universal (4 cases)", "kernel universal property failed"),
+        ("FAIL normal-conormal (7 cases)", "mono is not a kernel")],
+    ("pbcat.laws.kernel", _kernel_missing_a_point): [
+        ("FAIL kernel-cokernel (5 cases)", "kernel/cokernel broken")],
+    ("pbcat.laws.normal_conormal_check", _flagged_at_2): [
+        ("FAIL normal-conormal (16 cases)", "non-mono non-epi not flagged")],
+    ("pbcat.baer.annihilator_projection", _swapped_between_disjoint_objects): [
+        ("FAIL baer-annihilator (11 cases)", "annihilator class mismatch")],
+}
+
+
+@pytest.mark.parametrize("target, broken", list(KERNEL_LAW_MUTANTS),
+                         ids=lambda v: getattr(v, "__name__", v).lstrip("_"))
+def test_kernel_law_mutants_fail_with_a_replayable_witness(capsys, monkeypatch,
+                                                           target, broken):
+    fails_only(capsys, monkeypatch, target, broken, KERNEL_LAW_MUTANTS[target, broken])
 
 
 def closed_form_count(length, exhaustive_to, sampled_from, cap):
@@ -833,3 +895,86 @@ def test_the_parser_is_built_once_and_reuse_changes_no_output(capsys, tmp_path):
     assert first[3] == first[0]
     assert [outcome(argv) for argv in requests] == first
     assert cli._parser() is cli._parser()
+
+
+# argvs whose parse main must leave unchanged; "{path}" stands for a morphism
+# file
+SINGLE_PARSE_CORPUS = {
+    "no-arguments": [],
+    "help": ["-h"],
+    "long-help": ["--help"],
+    "abbreviated-help": ["--he"],
+    "unknown-command": ["bogus", "{path}"],
+    "command-help": ["kernel", "-h"],
+    "command-abbreviated-help": ["kernel", "--he"],
+    "double-dash": ["kernel", "--", "{path}"],
+    "option-equals-value": ["enumerate", "--max-size=1", "--count-only"],
+    "abbreviated-option": ["enumerate", "--max", "1", "--count"],
+    "repeated-option": ["enumerate", "--max-size", "2", "--max-size", "1"],
+    "flag-with-value": ["enumerate", "--count-only=yes"],
+    "bad-value": ["kernel", "--seed", "x", "{path}"],
+    "missing-value": ["enumerate", "--max-size"],
+    "missing-input": ["kernel"],
+    "extra": ["kernel", "{path}", "extra"],
+    "two-extras": ["factorize", "{path}", "extra", "--more"],
+    "unknown-option-extra": ["cokernel", "--bogus", "{path}"],
+    "option-before-command": ["--seed", "1", "kernel", "{path}"],
+    "double-dash-before-command": ["--", "kernel", "{path}"],
+    "noether1-equals": ["noether1", "--x=a b c", "--x1=a", "--x2=a b"],
+    "noether2-options": ["noether2", "--x", "a b c", "--x2", "b c", "--x1", "a b"],
+}
+# the arguments of a corpus case that no parser accepts
+UNRECOGNIZED = {"extra": "extra", "two-extras": "extra --more", "unknown-option-extra": "--bogus"}
+
+
+@pytest.mark.parametrize("case", list(SINGLE_PARSE_CORPUS))
+def test_a_request_is_parsed_once_as_the_top_level_parser_would(capsys, monkeypatch,
+                                                                tmp_path, case):
+    path = tmp_path / "f.pbij"
+    path.write_text(serialize_pbij(PBij(fin("1 2 3"), fin("a b"), [("1", "b")]), "f"))
+    argv = [arg.format(path=path) for arg in SINGLE_PARSE_CORPUS[case]]
+
+    def outcome(parse):
+        try:
+            result, code = parse(), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+        captured = capsys.readouterr()
+        return result, code, captured.out, captured.err
+
+    dispatched, parsed_by = [], []
+    header, parse_known_args = cli._header, argparse.ArgumentParser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        parsed_by.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_header", lambda args: dispatched.append(args) or header(args))
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, exit_code, out, err = outcome(lambda: main(argv))
+    monkeypatch.undo()
+    expected, expected_exit, expected_out, expected_err = outcome(
+        lambda: cli._parser().parse_args(argv))
+    if expected_exit is None:
+        assert exit_code is None and dispatched == [expected]
+        assert code in (0, 1) and err == ""
+    else:
+        assert (exit_code, out, err) == (expected_exit, expected_out, expected_err)
+        assert dispatched == []
+    if argv and argv[0] in cli._parsers()[1]:
+        # one parse, by the command's own parser
+        assert parsed_by == [f"pbcat {argv[0]}"]
+    if case in UNRECOGNIZED:
+        assert exit_code == 2 and err.startswith("usage: pbcat [-h]")
+        assert err.endswith(f"\npbcat: error: unrecognized arguments: {UNRECOGNIZED[case]}\n")
+
+
+def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pbcat", "enumerate", "--max-size", "1", "stray"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("pbcat: error: unrecognized arguments: stray\n")
+    monkeypatch.setattr(sys, "argv", ["pbcat", "enumerate", "--max-size", "1"])
+    assert main() == 0
+    assert capsys.readouterr().out.endswith("|I(1)| = 2, idempotents = 2\n  m0 : ∅\n  m1 : 1->1\n")

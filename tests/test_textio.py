@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -205,6 +206,47 @@ def test_parse_grid_rejects_half_a_bottom_row():
     end = text.index("arrow (3,2)->(3,3):")
     with pytest.raises(ParseError, match="both arrows or neither"):
         parse_grid(text[:start] + text[end:])
+
+
+
+def _line_count(text):
+    """The lines of a text as an editor numbers them; an empty text has one."""
+    return max(1, len(text.splitlines()))
+
+
+def _records():
+    grid = grid_fixture()
+    yield parse_pbij, serialize_pbij(PBij(fin("1 2 3"), fin("a b"), [("1", "b"), ("3", "a")]))
+    yield parse_cayley, serialize_cayley(CayleyTable.from_operation("0 1 2".split(), min))
+    yield parse_grid, serialize_grid(grid)
+    yield parse_grid, serialize_grid(grid.with_bottom_row(*complete_3x3(grid)))
+
+
+def test_a_record_cut_after_any_line_fails_at_a_line_it_has():
+    failures = 0
+    for parse, text in _records():
+        lines = text.split("\n")
+        for k in range(len(lines) + 1):
+            for cut in ("\n".join(lines[:k]), "\n".join(lines[:k]) + "\n"):
+                try:
+                    parse(cut)
+                except ParseError as exc:
+                    failures += 1
+                    assert 1 <= exc.line <= _line_count(cut), (cut, str(exc))
+    assert failures > 40
+
+
+@pytest.mark.parametrize("parse, text, fragment", [
+    (parse_grid, "object 1 1 = a\n", "expected nine"),
+    (parse_grid, "", "expected nine"),
+    (parse_grid, serialize_grid(grid_fixture()).replace("arrow (1,2)->(1,3):\n\n", ""),
+     "missing arrow (1,2)->(1,3)"),
+    (parse_cayley, "semigroup S = a b\na: a b\n", "missing product row for 'b'"),
+], ids=["one-object", "empty-grid", "missing-arrow", "missing-row"])
+def test_an_input_that_ends_early_fails_at_its_last_line(parse, text, fragment):
+    with pytest.raises(ParseError, match=re.escape(fragment)) as err:
+        parse(text)
+    assert err.value.line == _line_count(text)
 
 
 # -- parse_cayley against seeded mutations of serialized tables --------------
