@@ -143,11 +143,14 @@ def cokernel(f: PBij) -> CokernelPair:
 
 
 def kernel_universal_check(f: PBij, probe_objects: Iterable[FinSet]) -> bool:
-    """Every g killed by f factors through the kernel arrow exactly once."""
+    """f kills the kernel arrow, and every g killed by f factors through it
+    exactly once."""
     probes = list(probe_objects)
     if not probes:
         raise ValueError("at least one probe object is required")
     ker = kernel(f)
+    if not compose(f, ker.arrow).is_zero:
+        return False
     for P in probes:
         zero = zero_morphism(P, f.target)
         kernel_homs = list(enumerate_pbij(P, ker.object))

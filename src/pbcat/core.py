@@ -15,7 +15,6 @@ FinSet iterates in declaration order and enumerators respect it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -245,17 +244,6 @@ def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> frozense
     return keep
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Morphism flags; the idempotency flags need an endomorphism."""
-    is_mono: bool
-    is_epi: bool
-    is_iso: bool
-    is_idempotent: bool
-    is_partial_identity: bool
-    note: str | None = None
-
-
 def compose(g: PBij, f: PBij) -> PBij:
     """g after f: graph {(x, g(f(x)))} over the x with f(x) in dom(g).
 
@@ -293,30 +281,6 @@ def identity(X: FinSet) -> PBij:
 
 def zero_morphism(X: FinSet, Y: FinSet) -> PBij:
     return _trusted(X, Y, {})
-
-
-def classify(f: PBij) -> Classification:
-    """Mono/epi/iso by the domain and image criteria; idempotency by squaring.
-
-    In this category a morphism is mono iff its domain is all of the source
-    and epi iff its image is all of the target; iso means both.
-    """
-    if f.source == f.target:
-        is_idem = compose(f, f) == f
-        is_pid = all(x == y for x, y in f._map.items())
-        note = None
-    else:
-        is_idem = False
-        is_pid = False
-        note = "idempotency flags require source = target"
-    return Classification(
-        is_mono=f.is_mono,
-        is_epi=f.is_epi,
-        is_iso=f.is_mono and f.is_epi,
-        is_idempotent=is_idem,
-        is_partial_identity=is_pid,
-        note=note,
-    )
 
 
 def enumerate_pbij(X: FinSet, Y: FinSet) -> Iterator[PBij]:

@@ -11,7 +11,6 @@ from pbcat.core import (
     InvalidSubsetError,
     ObjectMismatchError,
     PBij,
-    classify,
     compose,
     enumerate_pbij,
     identity,
@@ -425,7 +424,7 @@ def test_noether_first_on_every_chain(n):
         iso = noether_first(X, X1, X2)
         expected = X.difference(X2)
         assert iso == identity(expected)
-        assert classify(iso).is_iso
+        assert iso.is_mono and iso.is_epi
         assert len(iso.source) == len(X) - len(X2)
 
 
