@@ -468,7 +468,7 @@ def _law_grid_completion(n: int, X: FinSet) -> Iterator[Step]:
 
 
 def _law_noether_first(n: int, X: FinSet) -> Iterator[Step]:
-    """(X−X1)−(X2−X1) = X−X2, set identity and grid route in agreement."""
+    """(X−X1)−(X2−X1) = X−X2: noether_first gives the identity on X−X2."""
     for X2 in X.subsets():
         for X1 in X2.subsets():
             iso = noether_first(X, X1, X2)

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing its own
 pass line.  Everything here is exact arithmetic; there are no tolerances."""
 
-import itertools
 from math import comb, factorial
 
 import pytest
@@ -33,7 +32,6 @@ from pbcat.monoid import (
     idempotents_of,
     symmetric_inverse_monoid,
     unique_inverse_check,
-    verify_inverse_semigroup,
     wagner_preston,
 )
 from pbcat.textio import parse_pbij, serialize_pbij

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import itertools
+import random
 import re
 import sys
 from math import factorial, prod
@@ -13,7 +14,7 @@ from pbcat.baer import annihilator_projection, kernel
 from pbcat.cli import main
 from pbcat.core import (FinSet, InternalContradictionError, PBij, cancellation_oracle, compose,
                         enumerate_pbij, inverse)
-from pbcat.exact import build_noether_grid
+from pbcat.exact import Grid3x3, build_noether_grid, make_ses
 from pbcat.laws import law_names, run_all, run_law
 from pbcat.textio import parse_pbij, serialize_cayley, serialize_grid, serialize_pbij
 
@@ -721,9 +722,7 @@ def test_noether_tokens_that_would_print_ambiguously_are_parse_errors(
 
 def test_noether_subset_violation_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "noether1", "--x", "a", "--x1", "z", "--x2", "a")
-    assert code == 2
-    assert out == ""
-    assert "invalid subset" in err
+    assert (code, out, err) == (2, "", "pbcat: invalid subset: X1 must be a subset of X2\n")
 
 
 def test_grid33_completes_and_round_trips(capsys, tmp_path):
@@ -736,6 +735,72 @@ def test_grid33_completes_and_round_trips(capsys, tmp_path):
     parsed = dict(extract_morphisms(out))
     assert parsed["phi"] == PBij(fin("2"), fin("2 3"), [("2", "2")])
     assert parsed["psi"] == PBij(fin("2 3"), fin("3"), [("3", "3")])
+
+
+def _pair_grid(X, A, B):
+    """The grid of any A, B ⊆ X, with its expected bottom row.
+
+    Rows A∩B -> B -> B−A over A -> X -> X−A; each column is an inclusion
+    into the middle row and then the quotient by it, down to A−B, X−B and
+    X−A−B.  The bottom row should be A−B -> X−B -> X−A−B.  B ⊆ A is the
+    Noether grid of B ⊆ A ⊆ X.
+    """
+    top, middle = make_ses(B, B.intersection(A)), make_ses(X, A)
+    columns = (make_ses(A, A.intersection(B)), make_ses(X, B), make_ses(middle.W, top.W))
+    bottom = make_ses(columns[1].W, columns[0].W)
+    grid = Grid3x3(((top.U, top.V, top.W), (middle.U, middle.V, middle.W),
+                    tuple(column.W for column in columns)),
+                   ((top.alpha, top.beta), (middle.alpha, middle.beta), None),
+                   tuple(zip(*((column.alpha, column.beta) for column in columns))))
+    return grid, (bottom.alpha, bottom.beta)
+
+
+def _relabelled(grid, row, rng):
+    """grid and its expected bottom row, with each of the nine objects
+    renamed by a random bijection onto tokens of its own, listed in a random
+    order; every arrow is conjugated by the renamings of its endpoints."""
+    names, objects = {}, {}
+    for r, c in itertools.product(range(3), repeat=2):
+        old = grid.objects[r][c].elements
+        new = [f"t{r + 1}{c + 1}n{i}" for i in range(len(old))]
+        rng.shuffle(new)
+        names[r, c] = dict(zip(old, new))
+        objects[r, c] = FinSet(rng.sample(new, len(new)))
+
+    def moved(f, src, dst):
+        return PBij(objects[src], objects[dst],
+                    [(names[src][x], names[dst][y]) for x, y in f.items()])
+    relabelled = Grid3x3(
+        tuple(tuple(objects[r, c] for c in range(3)) for r in range(3)),
+        tuple(tuple(moved(f, (r, c), (r, c + 1)) for c, f in enumerate(grid.row_arrows[r]))
+              for r in range(2)) + (None,),
+        tuple(tuple(moved(f, (s, c), (s + 1, c)) for c, f in enumerate(grid.col_arrows[s]))
+              for s in range(2)))
+    return relabelled, tuple(moved(f, (2, c), (2, c + 1)) for c, f in enumerate(row))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["canonical", "relabelled-1", "relabelled-2"])
+def test_grid33_completes_the_grid_of_every_subset_pair(capsys, tmp_path, seed):
+    # every A, B ⊆ X with |X| ≤ 3, nested or not: 1 + 4 + 16 + 64 grids
+    rng = random.Random(seed)
+    path = tmp_path / "grid.txt"
+    for n in range(4):
+        X = universe(n)
+        for A, B in itertools.product(list(X.subsets()), repeat=2):
+            grid, row = _pair_grid(X, A, B)
+            if B.issubset(A):
+                assert grid == build_noether_grid(X, B, A)
+            if seed is not None:
+                grid, row = _relabelled(grid, row, rng)
+            path.write_text(serialize_grid(grid))
+            code, out, err = run_cli(capsys, "grid33", str(path))
+            assert (code, err) == (0, ""), (X, A, B)
+            assert out.endswith("\nvalidation: PASS\n")
+            printed = dict(extract_morphisms(out))
+            for name, expected in zip(("phi", "psi"), row):
+                assert printed[name] == expected, (X, A, B, name)
+                assert printed[name].source.elements == expected.source.elements
+                assert printed[name].target.elements == expected.target.elements
 
 
 def test_grid33_rejects_a_mathematically_broken_grid(capsys, tmp_path):
