@@ -29,24 +29,14 @@ from .core import (
 
 @dataclass(frozen=True)
 class Factorization:
-    """f = mono ∘ epi through the intermediate object ``via``."""
+    """f = mono ∘ epi, two arrows that meet at the intermediate object
+    ``via``, the source of ``mono``."""
     mono: PBij
     epi: PBij
-    via: FinSet
 
-
-@dataclass(frozen=True)
-class KernelPair:
-    """The kernel object together with its inclusion arrow into the source."""
-    object: FinSet
-    arrow: PBij
-
-
-@dataclass(frozen=True)
-class CokernelPair:
-    """The cokernel object together with the quotient arrow from the target."""
-    object: FinSet
-    arrow: PBij
+    @property
+    def via(self) -> FinSet:
+        return self.mono.source
 
 
 @dataclass(frozen=True)
@@ -115,31 +105,32 @@ def factorize(f: PBij) -> Factorization:
     """Split f into an inclusion of its image after a corestriction onto it.
 
     ``epi`` keeps the graph of f but shrinks the target to im(f); ``mono``
-    includes im(f) back into the original target.  mono ∘ epi = f.
+    includes im(f) back into the original target.  mono ∘ epi = f, and
+    the two arrows meet at im(f), the factorization's ``via``.
     """
     via = _trusted_set(f.im)
     mono = _trusted(via, f.target, {y: y for y in via.elements})
-    epi = _trusted(f.source, via, f._map)
-    return Factorization(mono=mono, epi=epi, via=via)
+    return Factorization(mono=mono, epi=_trusted(f.source, via, f._map))
 
 
-def kernel(f: PBij) -> KernelPair:
-    """Kernel as the mono part of factorizing the annihilator projection.
+def kernel(f: PBij) -> PBij:
+    """The kernel of f, an arrow: the mono part of factorizing the
+    annihilator projection.
 
-    Concretely: the inclusion of (source - dom f) into the source.
+    Concretely: the inclusion of (source - dom f) into the source; the
+    kernel object is its source.
     """
-    fact = factorize(annihilator_projection(f))
-    return KernelPair(object=fact.via, arrow=fact.mono)
+    return factorize(annihilator_projection(f)).mono
 
 
-def cokernel(f: PBij) -> CokernelPair:
-    """Cokernel as the epi part of factorizing the annihilator of f⁻¹.
+def cokernel(f: PBij) -> PBij:
+    """The cokernel of f, an arrow: the epi part of factorizing the
+    annihilator of f⁻¹.
 
     Concretely: the corestricted identity from the target onto
-    (target - im f).
+    (target - im f); the cokernel object is its target.
     """
-    fact = factorize(annihilator_projection(inverse(f)))
-    return CokernelPair(object=fact.via, arrow=fact.epi)
+    return factorize(annihilator_projection(inverse(f))).epi
 
 
 def kernel_universal_check(f: PBij, probe_objects: Iterable[FinSet]) -> bool:
@@ -149,15 +140,15 @@ def kernel_universal_check(f: PBij, probe_objects: Iterable[FinSet]) -> bool:
     if not probes:
         raise ValueError("at least one probe object is required")
     ker = kernel(f)
-    if not compose(f, ker.arrow).is_zero:
+    if not compose(f, ker).is_zero:
         return False
     for P in probes:
         zero = zero_morphism(P, f.target)
-        kernel_homs = list(enumerate_pbij(P, ker.object))
+        kernel_homs = list(enumerate_pbij(P, ker.source))
         for g in enumerate_pbij(P, f.source):
             if compose(f, g) != zero:
                 continue
-            through = [h for h in kernel_homs if compose(ker.arrow, h) == g]
+            through = [h for h in kernel_homs if compose(ker, h) == g]
             if len(through) != 1:
                 return False
     return True
@@ -176,10 +167,10 @@ def normal_conormal_check(f: PBij) -> NormalityReport:
     normal_ok: bool | None = None
     conormal_ok: bool | None = None
     if f.is_mono:
-        k = kernel(annihilator_projection(inverse(f))).arrow
+        k = kernel(annihilator_projection(inverse(f)))
         normal_ok = f.target == k.target and f.im == k.im
     if f.is_epi:
-        q = cokernel(annihilator_projection(f)).arrow
+        q = cokernel(annihilator_projection(f))
         conormal_ok = f.source == q.source and f.dom == q.dom
     return NormalityReport(
         normal_ok=normal_ok,

@@ -141,12 +141,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[list[str], int]:
 def _cmd_kernel(args: argparse.Namespace) -> tuple[list[str], int]:
     name, f = parse_pbij(_read_input(args))
     k = kernel(f)
-    ok = is_kernel_of(k.arrow, f)
+    ok = is_kernel_of(k, f)
     lines = ["input:", *_block(f, name)]
-    lines.append(f"kernel object: {format_set(k.object)}")
-    lines.extend(_block(k.arrow, f"ker_{name}"))
-    lines.append(f"mono: {_flag(k.arrow.is_mono)}")
-    lines.append(f"composite-is-zero: {_flag(compose(f, k.arrow).is_zero)}")
+    lines.append(f"kernel object: {format_set(k.source)}")
+    lines.extend(_block(k, f"ker_{name}"))
+    lines.append(f"mono: {_flag(k.is_mono)}")
+    lines.append(f"composite-is-zero: {_flag(compose(f, k).is_zero)}")
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     return lines, 0 if ok else 1
 
@@ -154,12 +154,12 @@ def _cmd_kernel(args: argparse.Namespace) -> tuple[list[str], int]:
 def _cmd_cokernel(args: argparse.Namespace) -> tuple[list[str], int]:
     name, f = parse_pbij(_read_input(args))
     c = cokernel(f)
-    killed = compose(c.arrow, f).is_zero
-    ok = c.arrow.is_epi and killed and c.object == f.target.difference(f.im)
+    killed = compose(c, f).is_zero
+    ok = c.is_epi and killed and c.target == f.target.difference(f.im)
     lines = ["input:", *_block(f, name)]
-    lines.append(f"cokernel object: {format_set(c.object)}")
-    lines.extend(_block(c.arrow, f"coker_{name}"))
-    lines.append(f"epi: {_flag(c.arrow.is_epi)}")
+    lines.append(f"cokernel object: {format_set(c.target)}")
+    lines.extend(_block(c, f"coker_{name}"))
+    lines.append(f"epi: {_flag(c.is_epi)}")
     lines.append(f"composite-is-zero: {_flag(killed)}")
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     return lines, 0 if ok else 1
@@ -295,12 +295,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     command("wagner-preston", _cmd_wagner_preston, "embed a Cayley-table semigroup").add_argument(
         "input", help="Cayley table file")
     return parser, sub.choices
-
-
-def _parser() -> argparse.ArgumentParser:
-    """The top-level parser: it parses an argv that does not start with a
-    command name (none at all, ``-h``, an unknown command, an option first)."""
-    return _parsers()[0]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -63,29 +63,22 @@ def _exactness(alpha: PBij, beta: PBij, epi: bool = True) -> str | None:
 class ShortExactSeq:
     """0 -> U --alpha--> V --beta--> W -> 0, validated on construction.
 
-    alpha must be mono, beta epi, and alpha a kernel of beta: the image of
-    alpha is exactly the complement of dom(beta).  That equality already
-    makes beta kill alpha, so no composite is built to check it.
+    The sequence is its two arrows: U is alpha.source, V is alpha.target,
+    which must be beta.source, and W is beta.target.  alpha must be mono,
+    beta epi, and alpha a kernel of beta: the image of alpha is exactly the
+    complement of dom(beta).  That equality already makes beta kill alpha,
+    so no composite is built to check it.
     """
 
-    U: FinSet
-    V: FinSet
-    W: FinSet
     alpha: PBij
     beta: PBij
 
     def __post_init__(self):
-        if self.alpha.source != self.U or self.alpha.target != self.V:
-            raise DiagramInvalidError("alpha does not run U -> V")
-        if self.beta.source != self.V or self.beta.target != self.W:
+        if self.beta.source != self.alpha.target:
             raise DiagramInvalidError("beta does not run V -> W")
         failure = _exactness(self.alpha, self.beta)
         if failure is not None:
             raise DiagramInvalidError(failure)
-
-    @classmethod
-    def from_arrows(cls, alpha: PBij, beta: PBij) -> "ShortExactSeq":
-        return cls(alpha.source, alpha.target, beta.target, alpha, beta)
 
 
 def _quotient_arrows(X: FinSet, U: FinSet) -> tuple[PBij, PBij]:
@@ -98,8 +91,9 @@ def _quotient_arrows(X: FinSet, U: FinSet) -> tuple[PBij, PBij]:
 
 
 def make_ses(X: FinSet, X1: Iterable[str]) -> ShortExactSeq:
-    """The canonical sequence 0 -> X1 -> X -> X - X1 -> 0 for X1 ⊆ X."""
-    return ShortExactSeq.from_arrows(*_quotient_arrows(X, X.intersection(_subset(X1, X))))
+    """The canonical sequence 0 -> X1 -> X -> X - X1 -> 0 for X1 ⊆ X: the
+    inclusion of X1 as alpha and the quotient onto X - X1 as beta."""
+    return ShortExactSeq(*_quotient_arrows(X, X.intersection(_subset(X1, X))))
 
 
 def is_kernel_of(alpha: PBij, beta: PBij) -> bool:
@@ -238,15 +232,13 @@ def build_noether_grid(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> Grid3
 def noether_first(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     """(X-X1)-(X2-X1) equals X-X2, both as sets and categorically.
 
-    For X1 ⊆ X2 ⊆ X this is :func:`noether_second` on the pair
-    (X2, X-X1): their meet is X2-X1 and, as X1 ⊆ X2, their join is X, so
-    the second theorem's X2-(X1∩X2) = (X1∪X2)-X1 reads
-    (X-X1)-(X2-X1) = X-X2.  Only the nesting is checked here; the
-    quotient route and its agreement with the set identity are the second
-    theorem's.
+    For X1 ⊆ X2 ⊆ X this is the second theorem on the pair (X2, X-X1):
+    their meet is X2-X1 and, as X1 ⊆ X2, their join is X, so the second
+    theorem's X2-(X1∩X2) = (X1∪X2)-X1 reads (X-X1)-(X2-X1) = X-X2.  Only
+    the nesting is checked here; X-X1 ⊆ X holds by construction.
     """
     x1, x2 = _chain(X, X1, X2)
-    return noether_second(X, x2, X.difference(x1))
+    return _second_iso(x2, X.difference(x1))
 
 
 def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
@@ -256,8 +248,13 @@ def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     X2; that composite is an epi whose kernel is X1∩X2, and dividing it by
     the canonical quotient of that kernel gives the isomorphism.
     """
-    x1 = X.intersection(_subset(X1, X, "X1 must be a subset of X"))
-    x2 = X.intersection(_subset(X2, X, "X2 must be a subset of X"))
+    return _second_iso(X.intersection(_subset(X1, X, "X1 must be a subset of X")),
+                       X.intersection(_subset(X2, X, "X2 must be a subset of X")))
+
+
+def _second_iso(x1: FinSet, x2: FinSet) -> PBij:
+    """The isomorphism of :func:`noether_second` for subsets x1, x2 of one
+    set, both checked and listed in its order."""
     meet, both = x1.intersection(x2), x1.union(x2)
     lhs = x2.difference(meet)
     rhs = both.difference(x1)
@@ -270,10 +267,9 @@ def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     include = _trusted(x2, both, {x: x for x in x2.elements})
     gamma = compose(_trusted(both, rhs, {w: w for w in rhs.elements}), include)
     ker = kernel(gamma)
-    if ker.object != meet:
+    if ker.source != meet:
         raise InternalContradictionError("kernel of the restricted quotient is not X1∩X2")
-    quotient = cokernel(ker.arrow).arrow
-    iso = compose(gamma, inverse(quotient))
+    iso = compose(gamma, inverse(cokernel(ker)))
     if not (iso.is_mono and iso.is_epi) or any(x != y for x, y in iso.items()):
         raise InternalContradictionError(
             f"categorical route disagrees with the set identity: {iso!r}")

@@ -412,11 +412,11 @@ def _law_kernel_cokernel(f: PBij) -> str | None:
     their defining equations."""
     k = kernel(f)
     c = cokernel(f)
-    if (not is_kernel_of(k.arrow, f)
-            or k.object != f.source.difference(f.dom)
-            or not compose(c.arrow, f).is_zero
-            or not c.arrow.is_epi
-            or c.object != f.target.difference(f.im)):
+    if (not is_kernel_of(k, f)
+            or k.source != f.source.difference(f.dom)
+            or not compose(c, f).is_zero
+            or not c.is_epi
+            or c.target != f.target.difference(f.im)):
         return "kernel/cokernel broken"
     return None
 
@@ -449,11 +449,11 @@ def _law_ses_construction(n: int, X: FinSet) -> Iterator[Step]:
     for X1 in X.subsets():
         ses = make_ses(X, X1)
         alpha, beta = ses.alpha, ses.beta
-        yield 1, _failure_if(beta != cokernel(alpha).arrow,
+        yield 1, _failure_if(beta != cokernel(alpha),
                              "beta is not the cokernel of alpha", alpha=alpha, beta=beta)
         yield 0, _failure_if(not is_kernel_of(alpha, beta),
                              "alpha is not the kernel of beta", alpha=alpha, beta=beta)
-        yield 0, _failure_if(len(ses.W) != len(ses.V) - len(ses.U),
+        yield 0, _failure_if(len(beta.target) != len(alpha.target) - len(alpha.source),
                              "quotient cardinality law broken", beta=beta)
 
 

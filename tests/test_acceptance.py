@@ -147,13 +147,11 @@ def test_criterion_7_grid_completion(capsys):
                 phi, psi = complete_3x3(grid)
                 completed = grid.with_bottom_row(phi, psi)
                 completed.validate()
-                rows = [ShortExactSeq.from_arrows(*arrows)
-                        for arrows in completed.row_arrows]
-                cols = [ShortExactSeq.from_arrows(completed.col_arrows[0][c],
-                                                  completed.col_arrows[1][c])
+                rows = [ShortExactSeq(*arrows) for arrows in completed.row_arrows]
+                cols = [ShortExactSeq(completed.col_arrows[0][c], completed.col_arrows[1][c])
                         for c in range(3)]
                 for ses in rows + cols:
-                    assert len(ses.W) == len(ses.V) - len(ses.U)
+                    assert len(ses.beta.target) == len(ses.alpha.target) - len(ses.alpha.source)
     announce(capsys, 7, "3x3 completion validates with |W| = |V| - |U|")
 
 

@@ -254,9 +254,8 @@ def _oracle_flipped_at_2(f, side, probes):
 
 def _kernel_missing_a_point(f):
     k = kernel(f)
-    kept = FinSet(k.object.elements[1:])
-    return baer.KernelPair(kept, PBij(kept, k.arrow.target,
-                                      [(x, y) for x, y in k.arrow.items() if x in kept]))
+    kept = FinSet(k.source.elements[1:])
+    return PBij(kept, k.target, [(x, y) for x, y in k.items() if x in kept])
 
 
 def _flagged_at_2(f):
@@ -369,10 +368,9 @@ def _short_annihilator(f):
 def _short_ses(X, X1):
     # ShortExactSeq would reject the shortened beta
     ses = exact.make_ses(X, X1)
-    if (len(ses.V), len(ses.U)) != (4, 2):
+    if (len(ses.alpha.target), len(ses.alpha.source)) != (4, 2):
         return ses
-    return SimpleNamespace(U=ses.U, V=ses.V, W=ses.W, alpha=ses.alpha,
-                           beta=_without_last_pair(ses.beta))
+    return SimpleNamespace(alpha=ses.alpha, beta=_without_last_pair(ses.beta))
 
 
 def _short_completion(grid):
@@ -662,7 +660,7 @@ def test_kernel_report_round_trips(capsys, tmp_path):
     assert "result: PASS" in out
     parsed = dict(extract_morphisms(out))
     assert parsed["f"] == f
-    assert parsed["ker_f"] == kernel(f).arrow
+    assert parsed["ker_f"] == kernel(f)
 
 
 def test_cokernel_of_full_image_reports_empty_object(capsys, tmp_path):
@@ -746,10 +744,12 @@ def _pair_grid(X, A, B):
     Noether grid of B ⊆ A ⊆ X.
     """
     top, middle = make_ses(B, B.intersection(A)), make_ses(X, A)
-    columns = (make_ses(A, A.intersection(B)), make_ses(X, B), make_ses(middle.W, top.W))
-    bottom = make_ses(columns[1].W, columns[0].W)
-    grid = Grid3x3(((top.U, top.V, top.W), (middle.U, middle.V, middle.W),
-                    tuple(column.W for column in columns)),
+    columns = (make_ses(A, A.intersection(B)), make_ses(X, B),
+               make_ses(middle.beta.target, top.beta.target))
+    bottom = make_ses(columns[1].beta.target, columns[0].beta.target)
+    grid = Grid3x3(tuple((row.alpha.source, row.alpha.target, row.beta.target)
+                         for row in (top, middle))
+                   + (tuple(column.beta.target for column in columns),),
                    ((top.alpha, top.beta), (middle.alpha, middle.beta), None),
                    tuple(zip(*((column.alpha, column.beta) for column in columns))))
     return grid, (bottom.alpha, bottom.beta)
@@ -932,7 +932,7 @@ def test_the_parser_is_built_once_and_reuse_changes_no_output(capsys, tmp_path):
     assert "result: PASS" in first[2][1]
     assert first[3] == first[0]
     assert [outcome(argv) for argv in requests] == first
-    assert cli._parser() is cli._parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
 
 
 # argvs whose parse main must leave unchanged; "{path}" stands for a morphism
@@ -992,7 +992,7 @@ def test_a_request_is_parsed_once_as_the_top_level_parser_would(capsys, monkeypa
     code, exit_code, out, err = outcome(lambda: main(argv))
     monkeypatch.undo()
     expected, expected_exit, expected_out, expected_err = outcome(
-        lambda: cli._parser().parse_args(argv))
+        lambda: cli._parsers()[0].parse_args(argv))
     if expected_exit is None:
         assert exit_code is None and dispatched == [expected]
         assert code in (0, 1) and err == ""

@@ -124,8 +124,8 @@ def _results_of_operations(max_size):
                 yield fact.mono
                 yield fact.epi
                 yield annihilator_projection(f)
-                yield kernel(f).arrow
-                yield cokernel(f).arrow
+                yield kernel(f)
+                yield cokernel(f)
                 for Z in lasts:
                     for g in enumerate_pbij(Y, Z):
                         yield compose(g, f)

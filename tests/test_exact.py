@@ -51,9 +51,9 @@ def subset_pairs(n):
 
 def test_make_ses_frozen_example():
     ses = make_ses(fin("a b c"), fin("a"))
-    assert ses.U.elements == ("a",)
-    assert ses.V == fin("a b c")
-    assert ses.W.elements == ("b", "c")
+    assert ses.alpha.source.elements == ("a",)
+    assert ses.alpha.target == ses.beta.source == fin("a b c")
+    assert ses.beta.target.elements == ("b", "c")
     assert ses.alpha.graph == frozenset({("a", "a")})
     assert ses.beta.graph == frozenset({("b", "b"), ("c", "c")})
 
@@ -61,12 +61,12 @@ def test_make_ses_frozen_example():
 def test_make_ses_degenerate_subsets():
     X = fin("a b")
     whole = make_ses(X, X)
-    assert whole.W == FinSet()
+    assert whole.beta.target == FinSet()
     assert whole.alpha == identity(X)
     assert whole.beta == zero_morphism(X, FinSet())
 
     nothing = make_ses(X, ())
-    assert nothing.U == FinSet()
+    assert nothing.alpha.source == FinSet()
     assert nothing.beta.graph == frozenset({("a", "a"), ("b", "b")})
 
 
@@ -79,9 +79,9 @@ def test_make_ses_rejects_stray_elements():
 def test_make_ses_is_exact_for_every_subset(n):
     for X, X1, _ in ((x, s, None) for x in [universe(n)] for s in x.subsets()):
         ses = make_ses(X, X1)
-        assert ses.beta == cokernel(ses.alpha).arrow
+        assert ses.beta == cokernel(ses.alpha)
         assert is_kernel_of(ses.alpha, ses.beta)
-        assert len(ses.W) == len(ses.V) - len(ses.U)
+        assert len(ses.beta.target) == len(X) - len(ses.alpha.source)
 
 
 def test_sequence_constructor_rejects_each_failure_mode():
@@ -91,17 +91,20 @@ def test_sequence_constructor_rejects_each_failure_mode():
     alpha = PBij(sub, X, [("1", "1")])
     beta = PBij(X, quot, [("2", "2"), ("3", "3")])
 
-    with pytest.raises(DiagramInvalidError, match="U -> V"):
-        ShortExactSeq(fin("9"), X, quot, alpha, beta)
+    # arrows that do not meet: alpha runs into {1,2,3}, beta from {1,2}
+    short = PBij(fin("1 2"), fin("2"), [("2", "2")])
+    with pytest.raises(DiagramInvalidError, match="^beta does not run V -> W$"):
+        ShortExactSeq(alpha, short)
+    with pytest.raises(ObjectMismatchError):
+        is_kernel_of(alpha, short)
     with pytest.raises(DiagramInvalidError, match="monomorphism"):
-        ShortExactSeq(sub, X, quot, PBij(sub, X), beta)
+        ShortExactSeq(PBij(sub, X), beta)
     with pytest.raises(DiagramInvalidError, match="epimorphism"):
-        ShortExactSeq(sub, X, quot, alpha, PBij(X, quot, [("2", "2")]))
+        ShortExactSeq(alpha, PBij(X, quot, [("2", "2")]))
     with pytest.raises(DiagramInvalidError, match="zero"):
-        ShortExactSeq(X, X, X, identity(X), identity(X))
-    skewed = PBij(X, fin("q"), [("3", "q")])
+        ShortExactSeq(identity(X), identity(X))
     with pytest.raises(DiagramInvalidError, match="complement"):
-        ShortExactSeq(sub, X, skewed.target, alpha, skewed)
+        ShortExactSeq(alpha, PBij(X, fin("q"), [("3", "q")]))
 
 
 _X = fin("1 2 3")
@@ -111,67 +114,50 @@ _BETA = PBij(_X, fin("2 3"), [("2", "2"), ("3", "3")])
 _NOT_KERNEL = ("alpha is not a kernel of beta: im(alpha) differs from the "
                "complement of dom(beta)")
 
-# (U, V, W, alpha, beta, the ShortExactSeq message or None, is_kernel_of)
+# (alpha, beta, the ShortExactSeq message or None, is_kernel_of)
 SEQUENCE_CASES = {
-    "exact": (fin("1"), _X, fin("2 3"), _ALPHA, _BETA, None, True),
+    "exact": (_ALPHA, _BETA, None, True),
     "exact over reordered copies": (
-        fin("1"), fin("3 1 2"), fin("3 2"),
         PBij(fin("1"), fin("2 3 1"), [("1", "1")]),
         PBij(fin("2 1 3"), fin("2 3"), [("3", "3"), ("2", "2")]), None, True),
-    "exact through a renaming": (
-        fin("u"), _X, fin("2 3"), PBij(fin("u"), _X, [("u", "1")]), _BETA, None, True),
+    "exact through a renaming": (PBij(fin("u"), _X, [("u", "1")]), _BETA, None, True),
     "exact onto a renamed quotient": (
-        fin("1"), _X, fin("p q"), _ALPHA, PBij(_X, fin("p q"), [("2", "p"), ("3", "q")]),
-        None, True),
-    "exact with an empty kernel": (
-        FinSet(), _X, _X, PBij(FinSet(), _X), identity(_X), None, True),
-    "exact on the empty set": (
-        FinSet(), FinSet(), FinSet(), PBij(FinSet(), FinSet()),
-        PBij(FinSet(), FinSet()), None, True),
-    "alpha off U": (fin("9"), _X, fin("2 3"), _ALPHA, _BETA,
-                    "alpha does not run U -> V", True),
-    "alpha off U and not mono": (
-        fin("9"), _X, fin("2 3"), PBij(fin("1 9"), _X, [("1", "1")]), _BETA,
-        "alpha does not run U -> V", False),
-    "beta off W": (fin("1"), _X, fin("2"), _ALPHA, _BETA,
-                   "beta does not run V -> W", True),
-    "alpha not mono": (fin("1 9"), _X, fin("2 3"), PBij(fin("1 9"), _X, [("1", "1")]),
-                       _BETA, "alpha is not a monomorphism", False),
+        _ALPHA, PBij(_X, fin("p q"), [("2", "p"), ("3", "q")]), None, True),
+    "exact with an empty kernel": (PBij(FinSet(), _X), identity(_X), None, True),
+    "exact on the empty set": (PBij(FinSet(), FinSet()), PBij(FinSet(), FinSet()), None, True),
+    "alpha not mono": (PBij(fin("1 9"), _X, [("1", "1")]), _BETA,
+                       "alpha is not a monomorphism", False),
     "alpha not mono, beta not epi": (
-        fin("1 9"), _X, fin("2 3"), PBij(fin("1 9"), _X, [("1", "1")]),
-        PBij(_X, fin("2 3"), [("2", "2")]), "alpha is not a monomorphism", False),
-    "beta not epi": (fin("1"), _X, fin("2 3"), _ALPHA, PBij(_X, fin("2 3"), [("2", "2")]),
+        PBij(fin("1 9"), _X, [("1", "1")]), PBij(_X, fin("2 3"), [("2", "2")]),
+        "alpha is not a monomorphism", False),
+    "beta not epi": (_ALPHA, PBij(_X, fin("2 3"), [("2", "2")]),
                      "beta is not an epimorphism", False),
-    "beta does not kill alpha": (_X, _X, _X, identity(_X), identity(_X),
+    "beta does not kill alpha": (identity(_X), identity(_X),
                                  "beta∘alpha is not the zero morphism", False),
     # im(alpha) = {2} has the size of V − dom(beta) = {1}: since beta∘alpha = 0
     # puts im(alpha) inside V − dom(beta), a same-sized other image always
     # meets dom(beta) and fails here, before the kernel comparison
     "same-sized image inside dom(beta)": (
-        fin("u"), _X, fin("2 3"), PBij(fin("u"), _X, [("u", "2")]), _BETA,
+        PBij(fin("u"), _X, [("u", "2")]), _BETA,
         "beta∘alpha is not the zero morphism", False),
     "image short of the complement": (
-        fin("1"), _X, fin("q"), _ALPHA, PBij(_X, fin("q"), [("3", "q")]),
-        _NOT_KERNEL, False),
+        _ALPHA, PBij(_X, fin("q"), [("3", "q")]), _NOT_KERNEL, False),
     "renamed image short of the complement": (
-        fin("u"), _X, fin("q"), PBij(fin("u"), _X, [("u", "1")]),
-        PBij(_X, fin("q"), [("3", "q")]),
+        PBij(fin("u"), _X, [("u", "1")]), PBij(_X, fin("q"), [("3", "q")]),
         _NOT_KERNEL, False),
-    "image missing the complement": (
-        FinSet(), _X, fin("2 3"), PBij(FinSet(), _X), _BETA,
-        _NOT_KERNEL, False),
+    "image missing the complement": (PBij(FinSet(), _X), _BETA, _NOT_KERNEL, False),
 }
 
 
 @pytest.mark.parametrize("case", list(SEQUENCE_CASES))
 def test_sequence_messages_and_kernel_verdicts(case):
-    U, V, W, alpha, beta, message, kernel_verdict = SEQUENCE_CASES[case]
+    alpha, beta, message, kernel_verdict = SEQUENCE_CASES[case]
     if message is None:
-        ses = ShortExactSeq(U, V, W, alpha, beta)
+        ses = ShortExactSeq(alpha, beta)
         assert (ses.alpha, ses.beta) == (alpha, beta)
     else:
         with pytest.raises(DiagramInvalidError) as exc:
-            ShortExactSeq(U, V, W, alpha, beta)
+            ShortExactSeq(alpha, beta)
         assert str(exc.value) == message
     assert is_kernel_of(alpha, beta) is kernel_verdict
 
@@ -209,7 +195,7 @@ def composable_pairs(bound):
 
 def sequence_message(alpha, beta):
     try:
-        ShortExactSeq.from_arrows(alpha, beta)
+        ShortExactSeq(alpha, beta)
     except DiagramInvalidError as exc:
         return str(exc)
     return None
@@ -240,7 +226,7 @@ def test_exact_pairs_are_accepted_without_composing(monkeypatch):
                    if reference_sequence_message(alpha, beta) is None]
     monkeypatch.setattr(exact, "compose", no_compose)
     for alpha, beta in exact_pairs:
-        ses = ShortExactSeq.from_arrows(alpha, beta)
+        ses = ShortExactSeq(alpha, beta)
         assert (ses.alpha, ses.beta) == (alpha, beta)
         assert is_kernel_of(alpha, beta)
     assert len(exact_pairs) == 33
@@ -439,6 +425,23 @@ def test_noether_first_rejects_non_chains():
     # both nestings fail: X2 ⊆ X is checked first
     with pytest.raises(InvalidSubsetError, match="^X2 must be a subset of X$"):
         noether_first(universe(3), fin("8"), fin("1 7"))
+
+
+def test_each_noether_theorem_checks_two_subsets(monkeypatch):
+    # noether_first checks X2 ⊆ X and X1 ⊆ X2; X − X1 ⊆ X holds by
+    # construction, and noether_second checks X1 ⊆ X and X2 ⊆ X
+    calls = []
+    subset = exact._subset
+
+    def counted(*args):
+        calls.append(args[2])
+        return subset(*args)
+    monkeypatch.setattr(exact, "_subset", counted)
+    noether_first(universe(4), fin("1"), fin("1 2"))
+    assert calls == ["X2 must be a subset of X", "X1 must be a subset of X2"]
+    calls.clear()
+    noether_second(universe(4), fin("1 2"), fin("2 3"))
+    assert calls == ["X1 must be a subset of X", "X2 must be a subset of X"]
 
 
 def test_noether_second_frozen_example():
