@@ -22,9 +22,7 @@ from .core import (
     _subset,
     _trusted,
     compose,
-    identity,
     inverse,
-    zero_morphism,
 )
 
 
@@ -106,28 +104,23 @@ def is_kernel_of(alpha: PBij, beta: PBij) -> bool:
 
 @dataclass(frozen=True)
 class Grid3x3:
-    """Nine objects with row and column arrows; bottom-row arrows optional.
+    """A 3x3 grid as its arrows; bottom-row arrows optional.
 
-    ``objects[r][c]`` is the object at row r, column c (0-based).
     ``row_arrows[r]`` holds the two arrows of row r, left-to-right;
     ``row_arrows[2]`` may be None for a grid awaiting completion.
     ``col_arrows[s][c]`` is the column-c arrow from row s to row s+1.
+    The nine objects are read off the columns (see :attr:`objects`).
     Construction only checks shape; :meth:`validate` checks the math.
     """
 
-    objects: tuple[tuple[FinSet, FinSet, FinSet], ...]
     row_arrows: tuple[tuple[PBij, PBij] | None, ...]
     col_arrows: tuple[tuple[PBij, PBij, PBij], ...]
 
     def __post_init__(self):
-        objects = tuple(tuple(row) for row in self.objects)
         rows = tuple(tuple(r) if r is not None else None for r in self.row_arrows)
         cols = tuple(tuple(c) for c in self.col_arrows)
-        object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "row_arrows", rows)
         object.__setattr__(self, "col_arrows", cols)
-        if len(objects) != 3 or any(len(r) != 3 for r in objects):
-            raise DiagramInvalidError("grid needs a 3x3 array of objects")
         if len(rows) != 3 or any(r is not None and len(r) != 2 for r in rows):
             raise DiagramInvalidError("grid needs 3 rows of 2 arrows each")
         if rows[0] is None or rows[1] is None:
@@ -136,28 +129,33 @@ class Grid3x3:
             raise DiagramInvalidError("grid needs 2 levels of 3 column arrows")
 
     @property
+    def objects(self) -> tuple[tuple[FinSet, FinSet, FinSet], ...]:
+        """``objects[r][c]`` is the object at row r, column c (0-based):
+        rows 1 and 2 are the sources of the two column levels, and row 3 is
+        the targets of the lower level."""
+        upper, lower = self.col_arrows
+        return (tuple(arrow.source for arrow in upper), tuple(arrow.source for arrow in lower),
+                tuple(arrow.target for arrow in lower))
+
+    @property
     def has_bottom_row(self) -> bool:
         return self.row_arrows[2] is not None
 
     def with_bottom_row(self, phi: PBij, psi: PBij) -> "Grid3x3":
-        return Grid3x3(self.objects, (self.row_arrows[0], self.row_arrows[1], (phi, psi)),
-                       self.col_arrows)
+        return Grid3x3((self.row_arrows[0], self.row_arrows[1], (phi, psi)), self.col_arrows)
 
     def validate(self) -> None:
         """Check endpoints, commuting squares, and exactness of the rows and
         columns that are present; raises naming the failing piece."""
-        for r, arrows in enumerate(self.row_arrows):
-            if arrows is None:
-                continue
-            for c, arrow in enumerate(arrows):
-                if arrow.source != self.objects[r][c] or arrow.target != self.objects[r][c + 1]:
+        for c, (upper, lower) in enumerate(zip(*self.col_arrows)):
+            if upper.target != lower.source:
+                raise DiagramInvalidError(
+                    f"column {c + 1} arrow 1 does not match its endpoint objects")
+        for r, (arrows, objects) in enumerate(zip(self.row_arrows, self.objects)):
+            for c, arrow in enumerate(arrows or ()):
+                if (arrow.source, arrow.target) != objects[c:c + 2]:
                     raise DiagramInvalidError(
                         f"row {r + 1} arrow {c + 1} does not match its endpoint objects")
-        for s, level in enumerate(self.col_arrows):
-            for c, arrow in enumerate(level):
-                if arrow.source != self.objects[s][c] or arrow.target != self.objects[s + 1][c]:
-                    raise DiagramInvalidError(
-                        f"column {c + 1} arrow {s + 1} does not match its endpoint objects")
         for s in range(2):
             if self.row_arrows[s + 1] is not None:
                 self._check_squares(s, self.row_arrows[s + 1])
@@ -210,23 +208,29 @@ def _chain(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> tuple[FinSet, Fin
     return X.intersection(_subset(X1, x2, "X1 must be a subset of X2")), x2
 
 
+def _grid_of(X: FinSet, a: FinSet, b: FinSet) -> Grid3x3:
+    """:func:`pair_grid` of checked subsets a, b of X, listed in X's order."""
+    meet = a.intersection(b)
+    top, middle = _quotient_arrows(b, meet), _quotient_arrows(X, a)
+    columns = (_quotient_arrows(a, meet), _quotient_arrows(X, b),
+               _quotient_arrows(middle[1].target, top[1].target))
+    return Grid3x3((top, middle, None), tuple(zip(*columns)))
+
+
+def pair_grid(X: FinSet, A: Iterable[str], B: Iterable[str]) -> Grid3x3:
+    """The unvalidated grid of any A, B ⊆ X, nested or not: rows A∩B -> B -> B-A
+    over A -> X -> X-A and the canonical quotient sequences as columns.
+    :func:`complete_3x3` validates it and completes it with A-B -> X-B -> X-A-B."""
+    return _grid_of(X, X.intersection(_subset(A, X, "A must be a subset of X")),
+                    X.intersection(_subset(B, X, "B must be a subset of X")))
+
+
 def build_noether_grid(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> Grid3x3:
-    """The unvalidated Noether grid: top row X1 = X1 -> ∅, middle row
-    X2 -> X -> X-X2, columns the three canonical quotient sequences.
-    Requires X1 ⊆ X2 ⊆ X.  Its arrows are canonical, and
-    :func:`complete_3x3` validates them; its completed bottom row is
+    """The Noether grid of X1 ⊆ X2 ⊆ X: :func:`pair_grid` on (X2, X1), whose
+    top row is X1 = X1 -> ∅ and whose completed bottom row is
     0 -> X2-X1 -> X-X1 -> X-X2 -> 0."""
     x1, x2 = _chain(X, X1, X2)
-    empty = FinSet()
-
-    middle = _quotient_arrows(X, x2)
-    columns = (_quotient_arrows(x2, x1), _quotient_arrows(X, x1),
-               _quotient_arrows(middle[1].target, empty))
-    col_arrows = tuple(zip(*columns))
-    objects = ((x1, x1, empty), (x2, X, middle[1].target),
-               tuple(arrow.target for arrow in col_arrows[1]))
-    row_arrows = ((identity(x1), zero_morphism(x1, empty)), middle, None)
-    return Grid3x3(objects=objects, row_arrows=row_arrows, col_arrows=col_arrows)
+    return _grid_of(X, x2, x1)
 
 
 def noether_first(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:

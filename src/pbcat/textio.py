@@ -252,9 +252,9 @@ def _arrow_header(src: tuple[int, int], dst: tuple[int, int]) -> str:
 def serialize_grid(grid: Grid3x3) -> str:
     """Nine object lines, then one block per arrow; row arrows first."""
     chunks = []
-    for r in range(3):
-        for c in range(3):
-            tokens = _joined(grid.objects[r][c].elements)
+    for r, row in enumerate(grid.objects):
+        for c, obj in enumerate(row):
+            tokens = _joined(obj.elements)
             chunks.append(f"object {r + 1} {c + 1} = {tokens}".rstrip())
     chunks.append("")
 
@@ -337,15 +337,12 @@ def parse_grid(text: str) -> Grid3x3:
             raise ParseError(cursor.lineno,
                              f"missing arrow {_arrow_header(src, dst)[6:-1]}") from None
 
-    row_arrows: list[tuple[PBij, PBij] | None] = []
-    for r in range(2):
-        row_arrows.append((need((r, 0), (r, 1)), need((r, 1), (r, 2))))
-    bottom_keys = [((2, 0), (2, 1)), ((2, 1), (2, 2))]
-    present = [k for k in bottom_keys if k in arrows]
-    if len(present) == 1:
+    def row(r: int) -> tuple[PBij, PBij]:
+        return need((r, 0), (r, 1)), need((r, 1), (r, 2))
+
+    top, middle = row(0), row(1)
+    bottom = [((2, c), (2, c + 1)) in arrows for c in range(2)]
+    if bottom[0] != bottom[1]:
         raise ParseError(cursor.lineno, "bottom row must carry both arrows or neither")
-    row_arrows.append(tuple(need(*k) for k in bottom_keys) if len(present) == 2 else None)
     col_arrows = tuple(tuple(need((s, c), (s + 1, c)) for c in range(3)) for s in range(2))
-    grid = Grid3x3(tuple(tuple(objects[(r, c)] for c in range(3)) for r in range(3)),
-                   tuple(row_arrows), col_arrows)
-    return grid
+    return Grid3x3((top, middle, row(2) if bottom[0] else None), col_arrows)

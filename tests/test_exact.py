@@ -28,6 +28,7 @@ from pbcat.exact import (
     make_ses,
     noether_first,
     noether_second,
+    pair_grid,
 )
 
 from helpers import fin, pbij_count, universe
@@ -245,17 +246,6 @@ def test_is_kernel_of_detects_wrong_image_and_non_monos():
         is_kernel_of(PBij(fin("1"), fin("w x"), [("1", "w")]), beta)
 
 
-def test_noether_grid_objects_and_validation():
-    grid = build_noether_grid(universe(4), fin("1"), fin("1 2"))
-    assert grid.objects == (
-        (fin("1"), fin("1"), FinSet()),
-        (fin("1 2"), universe(4), fin("3 4")),
-        (fin("2"), fin("2 3 4"), fin("3 4")),
-    )
-    assert not grid.has_bottom_row
-    grid.validate()
-
-
 def test_noether_grid_rejects_bad_nesting():
     with pytest.raises(InvalidSubsetError):
         build_noether_grid(universe(3), fin("2"), fin("1"))
@@ -265,36 +255,74 @@ def test_noether_grid_rejects_bad_nesting():
 
 def test_grid_shape_is_checked_at_construction():
     g = build_noether_grid(universe(2), fin("1"), fin("1"))
-    with pytest.raises(DiagramInvalidError, match="3x3"):
-        Grid3x3(g.objects[:2], g.row_arrows, g.col_arrows)
     with pytest.raises(DiagramInvalidError, match="rows 1 and 2"):
-        Grid3x3(g.objects, (None, g.row_arrows[1], None), g.col_arrows)
+        Grid3x3((None, g.row_arrows[1], None), g.col_arrows)
     with pytest.raises(DiagramInvalidError, match="column"):
-        Grid3x3(g.objects, g.row_arrows, g.col_arrows[:1])
+        Grid3x3(g.row_arrows, g.col_arrows[:1])
 
 
 def test_grid_validate_names_broken_squares_and_rows():
     g = build_noether_grid(universe(2), fin("1"), fin("1"))
     x1 = fin("1")
     broken_top = (zero_morphism(x1, x1), zero_morphism(x1, FinSet()))
-    bad = Grid3x3(g.objects, (broken_top, g.row_arrows[1], None), g.col_arrows)
+    bad = Grid3x3((broken_top, g.row_arrows[1], None), g.col_arrows)
     with pytest.raises(DiagramInvalidError, match="square at rows 1-2"):
         bad.validate()
 
     X = universe(2)
     not_epi = (g.row_arrows[1][0], zero_morphism(X, fin("2")))
-    bad_row = Grid3x3(g.objects, (g.row_arrows[0], not_epi, None), g.col_arrows)
+    bad_row = Grid3x3((g.row_arrows[0], not_epi, None), g.col_arrows)
     with pytest.raises(DiagramInvalidError, match="row 2 is not exact"):
         bad_row.validate()
 
 
 def test_grid_validate_names_misplaced_endpoints():
     g = build_noether_grid(universe(3), fin("1"), fin("1 2"))
-    wrong = partial_identity(universe(3), fin("1"))
-    bad = Grid3x3(g.objects, g.row_arrows,
-                  (g.col_arrows[0], (g.col_arrows[1][0], wrong, g.col_arrows[1][2])))
-    with pytest.raises(DiagramInvalidError, match="column 2 arrow 2"):
-        bad.validate()
+    (top, (include, _), _), (upper, lower) = g.row_arrows, g.col_arrows
+    off_row = PBij(universe(3), fin("3 9"), [("3", "3")])
+    off_column = PBij(fin("1"), fin("1 9"), [("1", "1")])
+    # a lower column arrow's target is row 3's object: moving it breaks exactness
+    moved = partial_identity(universe(3), fin("1"))
+    for grid, message in [
+        (Grid3x3((top, (include, off_row), None), g.col_arrows),
+         "row 2 arrow 2 does not match its endpoint objects"),
+        (Grid3x3(g.row_arrows, ((upper[0], off_column, upper[2]), lower)),
+         "column 2 arrow 1 does not match its endpoint objects"),
+        (Grid3x3(g.row_arrows, (upper, (lower[0], moved, lower[2]))),
+         "column 2 is not exact: beta is not an epimorphism"),
+    ]:
+        with pytest.raises(DiagramInvalidError) as exc:
+            grid.validate()
+        assert str(exc.value) == message
+
+
+def test_pair_grid_rejects_a_stray_token():
+    for A, B, side in (("1 9", "2", "A"), ("1", "9 2", "B")):
+        with pytest.raises(InvalidSubsetError, match=f"^{side} must be a subset of X$"):
+            pair_grid(universe(3), fin(A), fin(B))
+
+
+def test_pair_grid_objects_are_the_subset_formulas():
+    # every A, B ⊆ X with |X| ≤ 5, given backwards: each object still lists
+    # its tokens in X's order; for B ⊆ A this is the Noether grid of B ⊆ A
+    grids = 0
+    for n in range(6):
+        for X, A, B in subset_pairs(n):
+            a, b = A.elements, B.elements
+
+            def where(in_a, in_b):  # X's tokens by membership of A and of B; None: either
+                return tuple(x for x in X.elements
+                             if in_a in (None, x in a) and in_b in (None, x in b))
+            expected = ((where(True, True), b, where(False, True)),
+                        (a, X.elements, where(False, None)),
+                        (where(True, False), where(None, False), where(False, False)))
+            built = [pair_grid(X, a[::-1], b[::-1])]
+            if B.issubset(A):
+                built.append(build_noether_grid(X, b[::-1], a[::-1]))
+            for grid in built:
+                assert tuple(tuple(o.elements for o in row) for row in grid.objects) == expected
+            grids += 1
+    assert grids == 1365
 
 
 def test_complete_3x3_frozen_example():
@@ -323,7 +351,7 @@ def test_complete_3x3_refuses_an_invalid_grid():
     g = build_noether_grid(universe(2), fin("1"), fin("1"))
     x1 = fin("1")
     broken_top = (zero_morphism(x1, x1), zero_morphism(x1, FinSet()))
-    bad = Grid3x3(g.objects, (broken_top, g.row_arrows[1], None), g.col_arrows)
+    bad = Grid3x3((broken_top, g.row_arrows[1], None), g.col_arrows)
     with pytest.raises(DiagramInvalidError):
         complete_3x3(bad)
 
@@ -390,12 +418,14 @@ def test_each_sequence_of_a_noether_grid_is_checked_once(monkeypatch):
     monkeypatch.setattr(exact, "_exactness", counted_exactness)
     monkeypatch.setattr(Grid3x3, "validate", counted_validate)
     X, X1, X2 = universe(4), fin("1"), fin("1 2")
-    grid = build_noether_grid(X, X1, X2)
-    assert not grid.has_bottom_row
-    assert counts == {"sequences": 0, "validations": 0}
-    # three rows and three columns
-    complete_3x3(grid)
-    assert counts == {"sequences": 6, "validations": 1}
+    for build, A, B in ((build_noether_grid, X1, X2), (pair_grid, fin("1 2"), fin("2 3"))):
+        counts.update(sequences=0, validations=0)
+        grid = build(X, A, B)
+        assert not grid.has_bottom_row
+        assert counts == {"sequences": 0, "validations": 0}
+        # three rows and three columns
+        complete_3x3(grid)
+        assert counts == {"sequences": 6, "validations": 1}
     # noether_first goes through noether_second and builds no grid
     counts.update(sequences=0, validations=0)
     noether_first(X, X1, X2)
