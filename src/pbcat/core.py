@@ -118,9 +118,11 @@ class PBij:
     most once); it is the boundary that parsed input and callers go
     through.  Results of operations on valid morphisms (composites,
     inverses, enumerations, partial identities, canonical arrows) are valid
-    by construction and are built by :func:`_trusted`, which skips the
-    checks; so are the Wagner-Preston translations, which
-    :func:`pbcat.monoid.wagner_preston` checks on index rows first.
+    by construction and skip the checks: :func:`compose`, :func:`inverse`
+    and :func:`enumerate_pbij` set the four slots of a bare instance
+    themselves, and the rest go through :func:`_trusted`; so do the
+    Wagner-Preston translations, which :func:`pbcat.monoid.wagner_preston`
+    checks on index rows first.
 
     A morphism stores its two objects, its map and, once :func:`inverse`
     has computed it, its inverse; ``graph``, ``dom``, ``im`` and the hash
@@ -202,8 +204,11 @@ class PBij:
             return True
         if not isinstance(other, PBij):
             return NotImplemented
-        return (self._map == other._map and self.source == other.source
-                and self.target == other.target)
+        # the objects of a sweep's morphisms are shared, so identity settles
+        # most comparisons before their frozensets are compared
+        return (self._map == other._map
+                and (self.source is other.source or self.source == other.source)
+                and (self.target is other.target or self.target == other.target))
 
     def __hash__(self) -> int:
         return hash((self.source, self.target, self.graph))
@@ -215,6 +220,12 @@ class PBij:
         return f"PBij({src} -> {tgt}: {pairs})"
 
 
+# the allocation behind every unchecked PBij; compose, inverse and
+# enumerate_pbij, the hot loops of the law sweeps, call it and set the four
+# slots themselves, which saves them a call to _trusted per morphism
+_new = object.__new__
+
+
 def _trusted(source: FinSet, target: FinSet, fwd: dict[str, str]) -> PBij:
     """A PBij over an already valid map, without the constructor's checks.
 
@@ -222,7 +233,7 @@ def _trusted(source: FinSet, target: FinSet, fwd: dict[str, str]) -> PBij:
     its keys in source declaration order; the caller owns that promise.
     The dict is kept, not copied, and no PBij ever changes its map.
     """
-    f = object.__new__(PBij)
+    f = _new(PBij)
     f.source = source
     f.target = target
     f._map = fwd
@@ -255,7 +266,12 @@ def compose(g: PBij, f: PBij) -> PBij:
             f"cannot compose: intermediate objects differ "
             f"({list(f.target.elements)} vs {list(g.source.elements)})")
     gm = g._map
-    return _trusted(f.source, g.target, {x: gm[y] for x, y in f._map.items() if y in gm})
+    h = _new(PBij)
+    h.source = f.source
+    h.target = g.target
+    h._map = {x: gm[y] for x, y in f._map.items() if y in gm}
+    h._inverse = None
+    return h
 
 
 def inverse(f: PBij) -> PBij:
@@ -264,8 +280,12 @@ def inverse(f: PBij) -> PBij:
     inv = f._inverse
     if inv is None:
         back = {y: x for x, y in f._map.items()}
-        f._inverse = inv = _trusted(
-            f.target, f.source, {y: back[y] for y in f.target.elements if y in back})
+        inv = _new(PBij)
+        inv.source = f.target
+        inv.target = f.source
+        inv._map = {y: back[y] for y in f.target.elements if y in back}
+        inv._inverse = None
+        f._inverse = inv
     return inv
 
 
@@ -294,7 +314,12 @@ def enumerate_pbij(X: FinSet, Y: FinSet) -> Iterator[PBij]:
     for k in range(top + 1):
         for dom in itertools.combinations(X.elements, k):
             for img in itertools.permutations(Y.elements, k):
-                yield _trusted(X, Y, dict(zip(dom, img)))
+                f = _new(PBij)
+                f.source = X
+                f.target = Y
+                f._map = dict(zip(dom, img))
+                f._inverse = None
+                yield f
 
 
 def cancellation_oracle(f: PBij, side: str,

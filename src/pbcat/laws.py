@@ -10,11 +10,13 @@ byte for byte for a given (max_size, seed) pair.
 A law is a tuple of sweeps, and :func:`run_law` is the one loop that runs
 them: it chains them in order and hands them one RNG.  A sweep is a generator
 ``(cap, rng) -> Iterator[Step]``.  A step is ``(cases, failure)``.
-``cases`` is what the step adds to the law's count: usually 1, the number
-of elements a whole-monoid step covers, or 0 for a further check on a
-case already counted.  ``failure`` is None, or a ``(description, {label:
-morphism})`` pair whose morphisms are serialized as the counterexample.
-The first failure ends the law, and the reported count includes that step.
+``cases`` is what the step adds to the law's count: a whole batch of
+chains or samples (up to and including the first failing one), 1 for most
+steps of an object sweep, the number of elements a whole-monoid step
+covers, or 0 for a further check on a case already counted.  ``failure``
+is None, or a ``(description, {label: morphism})`` pair whose morphisms
+are serialized as the counterexample.  The first failure ends the law, and
+the reported count includes that step.
 
 Three functions make the sweeps, each declaring its bound.  Most sweeps
 check one chain of composable morphisms at a time through a plain check
@@ -115,24 +117,44 @@ _PROBES = (FinSet(), _mid(1), _mid(2))
 _CHAIN = (_src, _tgt, _mid, _src)
 
 
-def _checked(check: _Check, chains: Iterable[tuple[PBij, ...]]) -> Iterator[Step]:
-    """One case per chain; a failing chain labels its morphisms f, g, h in
-    order."""
-    for chain in chains:
+def _checked(check: _Check, chains: Iterable[tuple[PBij, ...]]) -> Step:
+    """One step for a whole batch of chains, one case per chain checked: the
+    first failing chain ends the batch, is counted, and labels its
+    morphisms f, g, h in order."""
+    count = 0
+    for count, chain in enumerate(chains, 1):
         description = check(*chain)
-        yield 1, None if description is None else (description, dict(zip("fgh", chain)))
+        if description is not None:
+            return count, (description, dict(zip("fgh", chain)))
+    return count, None
 
 
 def _chains(length: int, bound: int, check: _Check) -> _Sweep:
     """The sweep that runs ``check`` on every chain of ``length`` composable
     morphisms over the ``_CHAIN`` objects, each of size at most ``bound``
     (never above the cap); the sizes vary slowest, then the first
-    morphism, then the next."""
+    morphism, then the next, and each size tuple is one step.
+
+    A run of the sweep enumerates each Hom-set once, through this module's
+    ``enumerate_pbij`` when a size tuple first needs it, and reuses its
+    morphisms, with the inverses :func:`inverse` keeps on them, in every
+    later size tuple of the run.  The Hom-sets are keyed by the identity
+    of their two objects: the empty objects of ``_src``, ``_tgt`` and
+    ``_mid`` are equal, and each Hom-set keeps its own.  Nothing is kept
+    once the run ends."""
     def sweep(cap: int, rng: random.Random) -> Iterator[Step]:
+        homs: dict[tuple[int, int], tuple[PBij, ...]] = {}
+
+        def hom(X: FinSet, Y: FinSet) -> tuple[PBij, ...]:
+            key = id(X), id(Y)
+            if key not in homs:
+                homs[key] = tuple(enumerate_pbij(X, Y))
+            return homs[key]
+
         for sizes in itertools.product(range(min(cap, bound) + 1), repeat=length + 1):
             objects = [make(n) for make, n in zip(_CHAIN, sizes)]
-            yield from _checked(check, itertools.product(
-                *(enumerate_pbij(X, Y) for X, Y in zip(objects, objects[1:]))))
+            yield _checked(check, itertools.product(
+                *(hom(X, Y) for X, Y in zip(objects, objects[1:]))))
     return sweep
 
 
@@ -144,11 +166,11 @@ def _random_pbij(rng: random.Random, X: FinSet, Y: FinSet) -> PBij:
 def _samples(length: int, lo: int, check: _Check) -> _Sweep:
     """The sweep that runs ``check`` on ``_SAMPLES`` random chains of
     ``length`` composable morphisms over the ``_CHAIN`` objects, all of
-    size n, at each n from ``lo`` to the cap."""
+    size n, at each n from ``lo`` to the cap; each size is one step."""
     def sweep(cap: int, rng: random.Random) -> Iterator[Step]:
         for n in range(lo, cap + 1):
             objects = [make(n) for make in _CHAIN[:length + 1]]
-            yield from _checked(check, (
+            yield _checked(check, (
                 tuple(_random_pbij(rng, X, Y) for X, Y in zip(objects, objects[1:]))
                 for _ in range(_SAMPLES)))
     return sweep

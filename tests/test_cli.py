@@ -136,6 +136,12 @@ GOLDEN_REPORTS = {
         "37369cbf61264b5778131480f6bf83d0482cf591859be54479068e2e6c8184aa",
     ("enumerate", "--max-size", "6"):
         "1d399813929edde46f3ab8b49568cfe4700f2e24481e236bf19964ac9fa36b3d",
+    ("check-axioms", "--max-size", "3", "--seed", "1"):
+        "d40da0b512c257de744e16a12c722d6a5018c7a7e4c447054bf56922e44ceeac",
+    ("check-axioms", "--max-size", "3", "--seed", "2"):
+        "d2614d4c2b2dc93e9525ba1bdefc362b1d643af4460da4b3cd5dd313666c34e3",
+    ("check-axioms", "--max-size", "6", "--seed", "2"):
+        "5e982225b5b33e2c73238ffc7b8dd70fe0c9b45392cc728900d2809390cbd2f1",
 }
 
 
@@ -579,6 +585,62 @@ def test_printed_witnesses_replay_through_their_law_check(capsys, monkeypatch, o
 
 def test_run_all_runs_every_law_in_registry_order():
     assert run_all(3, 5) == [run_law(name, 3, 5) for name in law_names()]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_a_chain_sweep_checks_every_chain_once_in_product_order(length):
+    seen = []
+    steps = list(laws._chains(length, 2, lambda *chain: seen.append(chain))(6, None))
+    expected, counts = [], []
+    for sizes in itertools.product(range(3), repeat=length + 1):
+        objects = [make(n) for make, n in zip(laws._CHAIN, sizes)]
+        chains = list(itertools.product(
+            *(list(enumerate_pbij(X, Y)) for X, Y in zip(objects, objects[1:]))))
+        expected += [(chain, objects) for chain in chains]
+        counts.append(len(chains))
+    assert steps == [(count, None) for count in counts]
+    assert len(seen) == len(expected)
+    first = {}
+    for chain, (want, objects) in zip(seen, expected):
+        assert chain == want
+        for i, f in enumerate(chain):
+            # each morphism keeps its own objects, although the empty
+            # objects of _src, _tgt and _mid are equal
+            assert f.source is objects[i] and f.target is objects[i + 1]
+            # a Hom-set is enumerated once in a run: its morphisms are the
+            # same objects in every size tuple that uses it
+            assert first.setdefault((id(f.source), id(f.target), f.graph), f) is f
+    assert laws._src(0) == laws._tgt(0) == laws._mid(0)
+    assert len({id(laws._src(0)), id(laws._tgt(0)), id(laws._mid(0))}) == 3
+    # the next run enumerates afresh: nothing is kept between runs
+    again = []
+    list(laws._chains(length, 2, lambda *chain: again.append(chain))(6, None))
+    assert again == seen and not any(f is g for f, g in zip(again[-1], seen[-1]))
+
+
+@pytest.mark.parametrize("sweep, k", [
+    # in the first size tuple, which holds one chain of zero morphisms, then
+    # in later ones
+    (lambda check: (laws._chains(2, 3, check),), 1),
+    (lambda check: (laws._chains(2, 3, check),), 3),
+    (lambda check: (laws._chains(2, 3, check),), 1000),
+    # the last of the 5 chains of bound 1, then samples of size 2 and of size 3
+    (lambda check: (laws._chains(1, 1, check), laws._samples(1, 2, check)), 5),
+    (lambda check: (laws._chains(1, 1, check), laws._samples(1, 2, check)), 6),
+    (lambda check: (laws._chains(1, 1, check), laws._samples(1, 2, check)), 40),
+])
+def test_a_failing_chain_is_counted_as_the_kth_case(monkeypatch, sweep, k):
+    seen = []
+
+    def check(*chain):
+        seen.append(chain)
+        return "failed" if len(seen) == k else None
+
+    monkeypatch.setitem(laws.LAWS, "composition-closure", sweep(check))
+    result = run_law("composition-closure", 6, 0)
+    assert not result.ok and result.checked == len(seen) == k
+    assert result.detail.startswith("failed\n")
+    assert [m for _, m in extract_morphisms(result.detail)] == list(seen[-1])
 
 
 def test_run_law_rejects_an_unknown_name():
