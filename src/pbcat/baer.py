@@ -3,9 +3,10 @@
 The inverse operation is an involution on partial bijections, and every
 morphism f : X -> Y has an annihilator projection f' = 1 on (X - dom f):
 the morphisms killed by f (f∘g = 0) are exactly those that factor through
-f'.  Kernels, cokernels, and mono-epi factorizations all fall out of that
-projection by taking literal set complements and inclusions, which keeps
-every construction canonical and equality decidable.
+f'.  Kernels and cokernels split these projections: each is the
+inclusion of, or corestriction onto, a projection's support, a literal
+set complement, which keeps every construction canonical and equality
+decidable.
 """
 
 from __future__ import annotations
@@ -114,23 +115,19 @@ def factorize(f: PBij) -> Factorization:
 
 
 def kernel(f: PBij) -> PBij:
-    """The kernel of f, an arrow: the mono part of factorizing the
-    annihilator projection.
-
-    Concretely: the inclusion of (source - dom f) into the source; the
-    kernel object is its source.
-    """
-    return factorize(annihilator_projection(f)).mono
+    """The kernel of f, an arrow: f' split, i.e. the inclusion of its
+    support (source - dom f) into the source.  The projection's map is
+    the arrow's map; no factorization is built."""
+    e = annihilator_projection(f)
+    return _trusted(_trusted_set(tuple(e._map)), f.source, e._map)
 
 
 def cokernel(f: PBij) -> PBij:
-    """The cokernel of f, an arrow: the epi part of factorizing the
-    annihilator of f⁻¹.
-
-    Concretely: the corestricted identity from the target onto
-    (target - im f); the cokernel object is its target.
-    """
-    return factorize(annihilator_projection(inverse(f))).epi
+    """The cokernel of f, an arrow: (f⁻¹)' split, i.e. the target
+    corestricted onto its support (target - im f).  The projection's map
+    is the arrow's map; no factorization is built."""
+    e = annihilator_projection(inverse(f))
+    return _trusted(f.target, _trusted_set(tuple(e._map)), e._map)
 
 
 def kernel_universal_check(f: PBij, probe_objects: Iterable[FinSet]) -> bool:

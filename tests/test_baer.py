@@ -24,6 +24,7 @@ from pbcat.core import (
     partial_identity,
     zero_morphism,
 )
+from pbcat.exact import noether_second
 
 from helpers import fin, universe
 
@@ -182,6 +183,39 @@ def test_cokernel_arrow_is_epi_and_kills_f():
         c = cokernel(f)
         assert c.is_epi
         assert compose(c, f) == zero_morphism(f.source, c.target)
+
+
+def _same_arrow(f, g):
+    """Equal, and listing their objects' tokens and their pairs in one order."""
+    return (f == g and f.source.elements == g.source.elements
+            and f.target.elements == g.target.elements and list(f.items()) == list(g.items()))
+
+
+def _morphisms_and_shuffled_endomorphisms():
+    yield from all_morphisms(3)
+    yield from enumerate_pbij(fin("3 1 2"), fin("2 3 1"))
+
+
+def test_kernel_and_cokernel_split_the_annihilator_projections():
+    # the paper's route: ker f splits f', coker f splits (f⁻¹)'
+    for f in _morphisms_and_shuffled_endomorphisms():
+        k, c = kernel(f), cokernel(f)
+        assert _same_arrow(k, factorize(annihilator_projection(f)).mono), f
+        assert _same_arrow(c, factorize(annihilator_projection(inverse(f))).epi), f
+        assert k.target is f.source and c.source is f.target
+
+
+def test_kernel_cokernel_and_noether_second_build_no_factorization(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernels and cokernels split their projection directly")
+
+    monkeypatch.setattr("pbcat.baer.factorize", refuse)
+    for f in _morphisms_and_shuffled_endomorphisms():
+        kernel(f), cokernel(f)
+    X = universe(3)
+    for A, B in itertools.product(X.subsets(), repeat=2):
+        lhs = FinSet(x for x in X if x in B and x not in A)
+        assert _same_arrow(noether_second(X, A, B), identity(lhs)), (A, B)
 
 
 def test_factorize_partial_identity_reproduces_splitting():

@@ -275,9 +275,9 @@ def _swapped_between_disjoint_objects(f):
     """The annihilator projection, with two points of its support swapped
     when f runs between non-empty objects that share no point.  The
     exactness constructions build their arrows between subsets of one set,
-    a kernel reads only the projection's image, and the cokernel laws test
-    their arrow's object and domain, not its pairs: so the Baer check is the
-    one law that sees the swap."""
+    the kernel laws test a kernel's image, not its pairs, and the cokernel
+    laws test their arrow's object and domain: so the Baer check is the one
+    law that sees the swap."""
     e = annihilator_projection(f)
     support = [x for x, _ in e.items()]
     if len(support) < 2 or not f.target or f.source.intersection(f.target.elements):
