@@ -241,8 +241,9 @@ def _trusted(source: FinSet, target: FinSet, fwd: dict[str, str]) -> PBij:
     return f
 
 
-def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> frozenset[str]:
-    """``A`` as a frozenset, after checking that it lies inside ``X``.
+def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> FinSet:
+    """``A`` as a FinSet in ``X``'s order, after checking that it lies
+    inside ``X``.
 
     Raises :class:`InvalidSubsetError` with ``message``, or by default
     with the stray tokens and the elements of ``X``.
@@ -252,7 +253,7 @@ def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> frozense
         if message is None:
             message = f"{sorted(keep - X._as_set)!r} not contained in {list(X.elements)!r}"
         raise InvalidSubsetError(message)
-    return keep
+    return X.intersection(keep)
 
 
 def compose(g: PBij, f: PBij) -> PBij:
@@ -291,8 +292,7 @@ def inverse(f: PBij) -> PBij:
 
 def partial_identity(X: FinSet, A: Iterable[str]) -> PBij:
     """The identity on A viewed as a morphism X -> X; requires A ⊆ X."""
-    keep = _subset(A, X)
-    return _trusted(X, X, {a: a for a in X.elements if a in keep})
+    return _trusted(X, X, {a: a for a in _subset(A, X).elements})
 
 
 def identity(X: FinSet) -> PBij:

@@ -91,7 +91,7 @@ def _quotient_arrows(X: FinSet, U: FinSet) -> tuple[PBij, PBij]:
 def make_ses(X: FinSet, X1: Iterable[str]) -> ShortExactSeq:
     """The canonical sequence 0 -> X1 -> X -> X - X1 -> 0 for X1 ⊆ X: the
     inclusion of X1 as alpha and the quotient onto X - X1 as beta."""
-    return ShortExactSeq(*_quotient_arrows(X, X.intersection(_subset(X1, X))))
+    return ShortExactSeq(*_quotient_arrows(X, _subset(X1, X)))
 
 
 def is_kernel_of(alpha: PBij, beta: PBij) -> bool:
@@ -204,8 +204,8 @@ def complete_3x3(grid: Grid3x3) -> tuple[PBij, PBij]:
 
 def _chain(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> tuple[FinSet, FinSet]:
     """X1 and X2 in X's order, after checking X2 ⊆ X and then X1 ⊆ X2."""
-    x2 = X.intersection(_subset(X2, X, "X2 must be a subset of X"))
-    return X.intersection(_subset(X1, x2, "X1 must be a subset of X2")), x2
+    x2 = _subset(X2, X, "X2 must be a subset of X")
+    return _subset(X1, x2, "X1 must be a subset of X2"), x2
 
 
 def _grid_of(X: FinSet, a: FinSet, b: FinSet) -> Grid3x3:
@@ -221,8 +221,8 @@ def pair_grid(X: FinSet, A: Iterable[str], B: Iterable[str]) -> Grid3x3:
     """The unvalidated grid of any A, B ⊆ X, nested or not: rows A∩B -> B -> B-A
     over A -> X -> X-A and the canonical quotient sequences as columns.
     :func:`complete_3x3` validates it and completes it with A-B -> X-B -> X-A-B."""
-    return _grid_of(X, X.intersection(_subset(A, X, "A must be a subset of X")),
-                    X.intersection(_subset(B, X, "B must be a subset of X")))
+    return _grid_of(X, _subset(A, X, "A must be a subset of X"),
+                    _subset(B, X, "B must be a subset of X"))
 
 
 def build_noether_grid(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> Grid3x3:
@@ -252,8 +252,8 @@ def noether_second(X: FinSet, X1: Iterable[str], X2: Iterable[str]) -> PBij:
     X2; that composite is an epi whose kernel is X1∩X2, and dividing it by
     the canonical quotient of that kernel gives the isomorphism.
     """
-    return _second_iso(X.intersection(_subset(X1, X, "X1 must be a subset of X")),
-                       X.intersection(_subset(X2, X, "X2 must be a subset of X")))
+    return _second_iso(_subset(X1, X, "X1 must be a subset of X"),
+                       _subset(X2, X, "X2 must be a subset of X"))
 
 
 def _second_iso(x1: FinSet, x2: FinSet) -> PBij:

@@ -8,7 +8,7 @@ counterexample.  Registry order is fixed so reports are reproducible
 byte for byte for a given (max_size, seed) pair.
 
 A law is a tuple of sweeps, and :func:`run_law` is the one loop that runs
-them: it chains them in order and hands them one RNG.  A sweep is a generator
+them: it chains them in order and hands them one RNG.  A sweep is a callable
 ``(cap, rng) -> Iterator[Step]``.  A step is ``(cases, failure)``.
 ``cases`` is what the step adds to the law's count: a whole batch of
 chains or samples (up to and including the first failing one), 1 for most
@@ -18,24 +18,28 @@ is None, or a ``(description, {label: morphism})`` pair whose morphisms
 are serialized as the counterexample.  The first failure ends the law, and
 the reported count includes that step.
 
-Three functions make the sweeps, each declaring its bound.  Most sweeps
-check one chain of composable morphisms at a time through a plain check
-``(f, g, ...) -> description | None``: :func:`_chains` runs it on every
-chain up to a size bound, :func:`_samples` on random chains from a size
-up to the cap, and :func:`_each` is the two together.  A printed
+Three generator functions make the declared sweeps, and :data:`LAWS` binds
+each one's leading arguments with :func:`functools.partial`, so a sweep's
+``func`` is its kind and its ``args`` are the rest of its declaration.
+Most sweeps check one chain of composable morphisms at a time through a
+plain check ``(f, g, ...) -> description | None``:
+``_chains(length, bound, check)`` runs it on every chain up to a size
+bound, ``_samples(length, lo, check)`` on random chains at each size from
+lo up to the cap, and :func:`_each` declares the two together.  A printed
 counterexample replays through the check: parsed back in label order, it
 yields the printed description.  Most other sweeps check one object
-X = {1..n} at a time: :func:`_objects` runs a step function
-``(n, X) -> Iterator[Step]`` at every size up to its bound.  Three laws
-keep a hand-written sweep; the comment above :data:`LAWS` says why.
+X = {1..n} at a time: ``_objects(bound, steps)`` runs a step function
+``(n, X) -> Iterator[Step]`` at every size up to its bound, or up to the
+cap if it is None.  Three laws keep a hand-written sweep; the comment
+above :data:`LAWS` says why.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .baer import (
@@ -95,17 +99,17 @@ def _failure_if(broken: bool, description: str, **morphisms: PBij) -> Failure | 
 
 
 # the fixed objects every sweep draws on, each built once
-@functools.cache
+@cache
 def _src(n: int) -> FinSet:
     return FinSet(str(i) for i in range(1, n + 1))
 
 
-@functools.cache
+@cache
 def _tgt(n: int) -> FinSet:
     return FinSet("abcdef"[i] for i in range(n))
 
 
-@functools.cache
+@cache
 def _mid(n: int) -> FinSet:
     return FinSet("uvwxyz"[i] for i in range(n))
 
@@ -129,33 +133,32 @@ def _checked(check: _Check, chains: Iterable[tuple[PBij, ...]]) -> Step:
     return count, None
 
 
-def _chains(length: int, bound: int, check: _Check) -> _Sweep:
-    """The sweep that runs ``check`` on every chain of ``length`` composable
-    morphisms over the ``_CHAIN`` objects, each of size at most ``bound``
-    (never above the cap); the sizes vary slowest, then the first
-    morphism, then the next, and each size tuple is one step.
+def _chains(length: int, bound: int, check: _Check, cap: int,
+            rng: random.Random) -> Iterator[Step]:
+    """Run ``check`` on every chain of ``length`` composable morphisms over
+    the ``_CHAIN`` objects, each of size at most ``bound`` (never above
+    the cap); the sizes vary slowest, then the first morphism, then the
+    next, and each size tuple is one step.
 
-    A run of the sweep enumerates each Hom-set once, through this module's
+    A run enumerates each Hom-set once, through this module's
     ``enumerate_pbij`` when a size tuple first needs it, and reuses its
     morphisms, with the inverses :func:`inverse` keeps on them, in every
     later size tuple of the run.  The Hom-sets are keyed by the identity
     of their two objects: the empty objects of ``_src``, ``_tgt`` and
     ``_mid`` are equal, and each Hom-set keeps its own.  Nothing is kept
     once the run ends."""
-    def sweep(cap: int, rng: random.Random) -> Iterator[Step]:
-        homs: dict[tuple[int, int], tuple[PBij, ...]] = {}
+    homs: dict[tuple[int, int], tuple[PBij, ...]] = {}
 
-        def hom(X: FinSet, Y: FinSet) -> tuple[PBij, ...]:
-            key = id(X), id(Y)
-            if key not in homs:
-                homs[key] = tuple(enumerate_pbij(X, Y))
-            return homs[key]
+    def hom(X: FinSet, Y: FinSet) -> tuple[PBij, ...]:
+        key = id(X), id(Y)
+        if key not in homs:
+            homs[key] = tuple(enumerate_pbij(X, Y))
+        return homs[key]
 
-        for sizes in itertools.product(range(min(cap, bound) + 1), repeat=length + 1):
-            objects = [make(n) for make, n in zip(_CHAIN, sizes)]
-            yield _checked(check, itertools.product(
-                *(hom(X, Y) for X, Y in zip(objects, objects[1:]))))
-    return sweep
+    for sizes in itertools.product(range(min(cap, bound) + 1), repeat=length + 1):
+        objects = [make(n) for make, n in zip(_CHAIN, sizes)]
+        yield _checked(check, itertools.product(
+            *(hom(X, Y) for X, Y in zip(objects, objects[1:]))))
 
 
 def _random_pbij(rng: random.Random, X: FinSet, Y: FinSet) -> PBij:
@@ -163,35 +166,32 @@ def _random_pbij(rng: random.Random, X: FinSet, Y: FinSet) -> PBij:
     return PBij(X, Y, zip(rng.sample(X.elements, k), rng.sample(Y.elements, k)))
 
 
-def _samples(length: int, lo: int, check: _Check) -> _Sweep:
-    """The sweep that runs ``check`` on ``_SAMPLES`` random chains of
-    ``length`` composable morphisms over the ``_CHAIN`` objects, all of
-    size n, at each n from ``lo`` to the cap; each size is one step."""
-    def sweep(cap: int, rng: random.Random) -> Iterator[Step]:
-        for n in range(lo, cap + 1):
-            objects = [make(n) for make in _CHAIN[:length + 1]]
-            yield _checked(check, (
-                tuple(_random_pbij(rng, X, Y) for X, Y in zip(objects, objects[1:]))
-                for _ in range(_SAMPLES)))
-    return sweep
+def _samples(length: int, lo: int, check: _Check, cap: int,
+             rng: random.Random) -> Iterator[Step]:
+    """Run ``check`` on ``_SAMPLES`` random chains of ``length`` composable
+    morphisms over the ``_CHAIN`` objects, all of size n, at each n from
+    ``lo`` to the cap; each size is one step."""
+    for n in range(lo, cap + 1):
+        objects = [make(n) for make in _CHAIN[:length + 1]]
+        yield _checked(check, (
+            tuple(_random_pbij(rng, X, Y) for X, Y in zip(objects, objects[1:]))
+            for _ in range(_SAMPLES)))
 
 
 def _each(length: int, exhaustive_to: int, sampled_from: int | None,
           check: _Check) -> tuple[_Sweep, ...]:
     """Every chain up to size ``exhaustive_to``, then samples from size
     ``sampled_from`` to the cap (none if it is None)."""
-    chains = (_chains(length, exhaustive_to, check),)
-    return chains if sampled_from is None else (*chains, _samples(length, sampled_from, check))
+    samples = () if sampled_from is None else (partial(_samples, length, sampled_from, check),)
+    return (partial(_chains, length, exhaustive_to, check), *samples)
 
 
-def _objects(bound: int | None, steps: Callable[[int, FinSet], Iterator[Step]]) -> _Sweep:
-    """The sweep that runs ``steps(n, X)`` on the object X = {1..n} at
-    every size n up to ``bound`` (never above the cap), or up to the cap
-    if it is None."""
-    def sweep(cap: int, rng: random.Random) -> Iterator[Step]:
-        for n in range((cap if bound is None else min(cap, bound)) + 1):
-            yield from steps(n, _src(n))
-    return sweep
+def _objects(bound: int | None, steps: Callable[[int, FinSet], Iterator[Step]], cap: int,
+             rng: random.Random) -> Iterator[Step]:
+    """Run ``steps(n, X)`` on the object X = {1..n} at every size n up to
+    ``bound`` (never above the cap), or up to the cap if it is None."""
+    for n in range((cap if bound is None else min(cap, bound)) + 1):
+        yield from steps(n, _src(n))
 
 
 def _law_composition_closure(f: PBij, g: PBij) -> str | None:
@@ -506,11 +506,12 @@ def _law_noether_second(n: int, X: FinSet) -> Iterator[Step]:
                              "unexpected isomorphism", iso=iso)
 
 
-# each law is a tuple of sweeps, built by _chains(chain length, bound, check),
-# _samples(chain length, first size, check), _objects(bound, or None for the
-# cap, steps) and _each(chain length, exhaustive to, sampled from, check) for
-# chains then samples; three laws keep a sweep of their own: idempotent-meet
-# checks the top size alone, wagner-preston fixed tables whatever the cap, and
+# each law is a tuple of sweeps, each declared by binding its first arguments
+# with partial: _chains(chain length, bound, check), _samples(chain length,
+# first size, check) and _objects(bound, or None for the cap, step function);
+# _each(chain length, exhaustive to, sampled from, check) declares chains then
+# samples.  Three laws keep a sweep of their own: idempotent-meet checks the
+# top size alone, wagner-preston fixed tables whatever the cap, and
 # zero-morphisms checks each size pair's empty-set Hom-sets before that pair's
 # morphisms (a sweep of the former alone would fail a missing zero at a
 # different count)
@@ -518,30 +519,33 @@ LAWS: dict[str, tuple[_Sweep, ...]] = {
     "composition-closure": _each(2, 3, 4, _law_composition_closure),
     "associativity": _each(3, 2, 3, _law_associativity),
     "identity-neutrality": _each(1, 3, 4, _law_identity_neutrality),
-    "inverse-laws": (_chains(1, 3, _law_inverse), _chains(2, 3, _law_contravariance),
-                     _samples(2, 4, _law_inverse_pair)),
+    "inverse-laws": (partial(_chains, 1, 3, _law_inverse),
+                     partial(_chains, 2, 3, _law_contravariance),
+                     partial(_samples, 2, 4, _law_inverse_pair)),
     "idempotent-meet": (_law_idempotent_meet,),
     "zero-morphisms": (_law_zero_morphisms,),
     "cancellation-agreement": _each(1, 3, 4, _law_cancellation_agreement),
-    "monoid-size": (_objects(None, _law_monoid_size),),
-    "monoid-closure": (_objects(3, _law_monoid_closure),),
-    "idempotent-census": (_objects(3, _law_idempotent_census),),
-    "unique-inverses": (_objects(3, _law_unique_inverses),),
+    "monoid-size": (partial(_objects, None, _law_monoid_size),),
+    "monoid-closure": (partial(_objects, 3, _law_monoid_closure),),
+    "idempotent-census": (partial(_objects, 3, _law_idempotent_census),),
+    "unique-inverses": (partial(_objects, 3, _law_unique_inverses),),
     "wagner-preston": (_law_wagner_preston,),
-    "involution": (_chains(1, 3, _law_double_star), _objects(3, _law_self_dual_identity),
-                   _chains(2, 2, _law_star_contravariance), _samples(2, 3, _law_star_pair)),
+    "involution": (partial(_chains, 1, 3, _law_double_star),
+                   partial(_objects, 3, _law_self_dual_identity),
+                   partial(_chains, 2, 2, _law_star_contravariance),
+                   partial(_samples, 2, 3, _law_star_pair)),
     "annihilator-projection": _each(1, 3, None, _law_annihilator_projection),
-    "closed-projection": (_objects(None, _law_closed_projection),),
+    "closed-projection": (partial(_objects, None, _law_closed_projection),),
     "baer-annihilator": _each(1, 2, None, _law_baer_annihilator),
     "kernel-universal": _each(1, 2, None, _law_kernel_universal),
     "factorization": _each(1, 3, 4, _law_factorization),
     "kernel-cokernel": _each(1, 3, 4, _law_kernel_cokernel),
     "normal-conormal": _each(1, 3, None, _law_normal_conormal),
-    "balanced": (_objects(3, _law_balanced),),
-    "ses-construction": (_objects(5, _law_ses_construction),),
-    "grid-completion": (_objects(4, _law_grid_completion),),
-    "noether-first": (_objects(5, _law_noether_first),),
-    "noether-second": (_objects(5, _law_noether_second),),
+    "balanced": (partial(_objects, 3, _law_balanced),),
+    "ses-construction": (partial(_objects, 5, _law_ses_construction),),
+    "grid-completion": (partial(_objects, 4, _law_grid_completion),),
+    "noether-first": (partial(_objects, 5, _law_noether_first),),
+    "noether-second": (partial(_objects, 5, _law_noether_second),),
 }
 
 

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+from functools import partial
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -191,22 +192,6 @@ def _lossy_inverse(f):
     return PBij(inv.source, inv.target, list(inv.items())[1:])
 
 
-# each per-case law: (chain length, exhaustive bound, first sampled size,
-# the check it runs on every chain)
-PER_CASE_LAWS = {
-    "composition-closure": (2, 3, 4, laws._law_composition_closure),
-    "associativity": (3, 2, 3, laws._law_associativity),
-    "identity-neutrality": (1, 3, 4, laws._law_identity_neutrality),
-    "cancellation-agreement": (1, 3, 4, laws._law_cancellation_agreement),
-    "annihilator-projection": (1, 3, None, laws._law_annihilator_projection),
-    "baer-annihilator": (1, 2, None, laws._law_baer_annihilator),
-    "kernel-universal": (1, 2, None, laws._law_kernel_universal),
-    "factorization": (1, 3, 4, laws._law_factorization),
-    "kernel-cokernel": (1, 3, 4, laws._law_kernel_cokernel),
-    "normal-conormal": (1, 3, None, laws._law_normal_conormal),
-}
-
-
 def counterexamples(report):
     """(law, description, [(label, morphism), ...]) for each failed law of a
     check-axioms report, its morphisms in the order printed.  A counterexample
@@ -220,31 +205,25 @@ def counterexamples(report):
     return out
 
 
-# the named checks of the laws registered as several sweeps, by law, printed
-# description and witness length
-SWEEP_CHECKS = {
-    ("inverse-laws", "inverse law broken", 1): laws._law_inverse,
-    ("inverse-laws", "contravariance broken", 2): laws._law_contravariance,
-    ("inverse-laws", "inverse law broken", 2): laws._law_inverse_pair,
-    ("involution", "double star differs", 1): laws._law_double_star,
-    ("involution", "star contravariance broken", 2): laws._law_star_contravariance,
-    ("involution", "star law broken", 2): laws._law_star_pair,
-}
-_SWEPT = {name for name, _, _ in SWEEP_CHECKS}
+def chain_checks(name):
+    """(chain length, check) of each chain and sample sweep that LAWS
+    declares for a law, in order and without repeats."""
+    return list(dict.fromkeys((sweep.args[0], sweep.args[2]) for sweep in laws.LAWS[name]
+                              if getattr(sweep, "func", None) in (laws._chains, laws._samples)))
 
 
 def replays(report):
     """(law, description, check, morphisms) for each witness of a check-axioms
-    report that a named check can replay, having checked that its morphisms
-    are labelled f, g, h in order and that the check prints its description."""
+    report that a declared chain check of its law can replay, having checked
+    that its morphisms are labelled f, g, h in order and that exactly one of
+    the law's checks of the witness's length prints its description."""
     out = []
     for name, description, witness in counterexamples(report):
-        if witness and (name in PER_CASE_LAWS or name in _SWEPT):
+        checks = [check for length, check in chain_checks(name) if length == len(witness)]
+        if checks:
             assert [label for label, _ in witness] == list("fgh"[:len(witness)])
             morphisms = [m for _, m in witness]
-            check = (PER_CASE_LAWS[name][3] if name in PER_CASE_LAWS
-                     else SWEEP_CHECKS[name, description, len(morphisms)])
-            assert check(*morphisms) == description
+            [check] = [check for check in checks if check(*morphisms) == description]
             out.append((name, description, check, morphisms))
     return out
 
@@ -286,62 +265,88 @@ def _swapped_between_disjoint_objects(f):
     return PBij(e.source, e.target, [(x, {a: b, b: a}.get(x, x)) for x in support])
 
 
-def closed_form_count(length, exhaustive_to, sampled_from, cap):
-    """Cases a per-case law checks at --max-size cap, counted without pbcat:
-    every chain over objects of sizes up to the exhaustive bound, where
-    pbij_count(a, b) morphisms join sizes a and b, and 30 samples per
-    sampled size."""
-    bound = min(cap, exhaustive_to)
-    chains = sum(prod(pbij_count(a, b) for a, b in zip(sizes, sizes[1:]))
-                 for sizes in itertools.product(range(bound + 1), repeat=length + 1))
-    sampled = 0 if sampled_from is None else len(range(sampled_from, cap + 1))
-    return chains + 30 * sampled
+# the cases an object sweep's step function checks on X = {1..n}, counted
+# without pbcat, where pbij_count(a, b) morphisms join sizes a and b
+PER_SIZE_COUNTS = {
+    laws._law_monoid_size: lambda n: 1,
+    laws._law_monoid_closure: lambda n: pbij_count(n, n) * (1 + pbij_count(n, n)),
+    laws._law_idempotent_census: lambda n: 2 ** n,
+    laws._law_unique_inverses: lambda n: pbij_count(n, n) ** 2,
+    laws._law_self_dual_identity: lambda n: 1,
+    laws._law_closed_projection: lambda n: 2 ** n,
+    laws._law_balanced: factorial,
+    laws._law_ses_construction: lambda n: 2 ** n,
+    laws._law_grid_completion: lambda n: 3 ** n,
+    laws._law_noether_first: lambda n: 3 ** n,
+    laws._law_noether_second: lambda n: 4 ** n,
+}
 
-
-@pytest.mark.parametrize("name", list(PER_CASE_LAWS))
-def test_per_case_laws_check_their_closed_form_count(name):
-    length, exhaustive_to, sampled_from, _ = PER_CASE_LAWS[name]
-    for cap in range(7):
-        assert run_law(name, cap, 0).checked == closed_form_count(
-            length, exhaustive_to, sampled_from, cap), cap
-
-
-def _upto(bound, cap):
-    return range(min(cap, bound) + 1)
-
-
-# the laws that are not per-case: the cases each checks at --max-size c,
-# counted without pbcat; closed_form_count(..., None, c) counts chains alone
-OTHER_LAW_COUNTS = {
-    "inverse-laws": lambda c: closed_form_count(1, 3, None, c) + closed_form_count(2, 3, 4, c),
-    "idempotent-meet": lambda c: 4 ** min(c, 5),
-    "zero-morphisms": lambda c: sum(1 + pbij_count(a, b)
-                                    for a, b in itertools.product(_upto(3, c), repeat=2)),
-    "monoid-size": lambda c: c + 1,
-    "monoid-closure": lambda c: sum(pbij_count(n, n) * (1 + pbij_count(n, n))
-                                    for n in _upto(3, c)),
-    "idempotent-census": lambda c: sum(2 ** n for n in _upto(3, c)),
-    "unique-inverses": lambda c: sum(pbij_count(n, n) ** 2 for n in _upto(3, c)),
-    "wagner-preston": lambda c: 61,
-    "involution": lambda c: (closed_form_count(1, 3, None, c) + min(c, 3) + 1
-                             + closed_form_count(2, 2, 3, c)),
-    "closed-projection": lambda c: 2 ** (c + 1) - 1,
-    "balanced": lambda c: sum(factorial(n) for n in _upto(3, c)),
-    "ses-construction": lambda c: 2 ** (min(c, 5) + 1) - 1,
-    "grid-completion": lambda c: sum(3 ** n for n in _upto(4, c)),
-    "noether-first": lambda c: sum(3 ** n for n in _upto(5, c)),
-    "noether-second": lambda c: sum(4 ** n for n in _upto(5, c)),
+# the cases each hand-written sweep checks at --max-size c
+SWEEP_COUNTS = {
+    laws._law_idempotent_meet: lambda c: 4 ** min(c, 5),
+    laws._law_zero_morphisms: lambda c: sum(1 + pbij_count(a, b) for a, b in
+                                            itertools.product(range(min(c, 3) + 1), repeat=2)),
+    laws._law_wagner_preston: lambda c: 61,
 }
 
 
-def test_every_law_has_a_closed_form_count():
-    assert sorted(PER_CASE_LAWS.keys() | OTHER_LAW_COUNTS.keys()) == sorted(law_names())
+def sweep_count(sweep, cap):
+    """Cases a sweep of LAWS checks at --max-size cap, counted without pbcat
+    from its declaration: 30 samples per sampled size, every chain over
+    objects of sizes up to a chain sweep's bound, and an object sweep's
+    closed form at each size up to its bound."""
+    if sweep in SWEEP_COUNTS:
+        return SWEEP_COUNTS[sweep](cap)
+    if sweep.func is laws._objects:
+        bound, steps = sweep.args
+        top = cap if bound is None else min(cap, bound)
+        return sum(PER_SIZE_COUNTS[steps](n) for n in range(top + 1))
+    length, first, _ = sweep.args
+    if sweep.func is laws._samples:
+        return 30 * len(range(first, cap + 1))
+    return sum(prod(pbij_count(a, b) for a, b in zip(sizes, sizes[1:]))
+               for sizes in itertools.product(range(min(cap, first) + 1), repeat=length + 1))
 
 
-@pytest.mark.parametrize("name", list(OTHER_LAW_COUNTS))
-def test_other_laws_check_their_closed_form_count(name):
+def law_count(name, cap):
+    """Cases a law checks at --max-size cap: the sum over its declared sweeps."""
+    return sum(sweep_count(sweep, cap) for sweep in laws.LAWS[name])
+
+
+def assert_closed_form_counts(name):
     for cap in range(7):
-        assert run_law(name, cap, 0).checked == OTHER_LAW_COUNTS[name](cap), cap
+        assert run_law(name, cap, 0).checked == law_count(name, cap), cap
+
+
+# the laws that run one chain check on every case (those _each declares)
+@pytest.mark.parametrize("name", [name for name in law_names() if len(chain_checks(name)) == 1])
+def test_per_case_laws_check_their_closed_form_count(name):
+    assert_closed_form_counts(name)
+
+
+@pytest.mark.parametrize("name", [name for name in law_names() if len(chain_checks(name)) != 1])
+def test_other_laws_check_their_closed_form_count(name):
+    assert_closed_form_counts(name)
+
+
+def test_every_law_has_a_closed_form_count():
+    # every declared sweep is counted, and every table row counts one
+    sweeps = [sweep for law in laws.LAWS.values() for sweep in law]
+    assert {sweep.args[1] for sweep in sweeps
+            if getattr(sweep, "func", None) is laws._objects} == PER_SIZE_COUNTS.keys()
+    assert {sweep for sweep in sweeps if not isinstance(sweep, partial)} == SWEEP_COUNTS.keys()
+
+
+@pytest.mark.parametrize("name, sweeps, cap, count", [
+    # sum of H(a,b) H(b,c) H(c,d) over sizes up to 3, no samples at cap 3
+    ("associativity", laws._each(3, 3, 4, laws._law_associativity), 3, 134_920),
+    # sum of 4^n for n up to 4
+    ("noether-second", (partial(laws._objects, 4, laws._law_noether_second),), 6, 341),
+], ids=["associativity", "noether-second"])
+def test_the_count_tests_follow_the_registry(monkeypatch, name, sweeps, cap, count):
+    monkeypatch.setitem(laws.LAWS, name, sweeps)
+    assert law_count(name, cap) == count
+    assert run_law(name, cap, 0).checked == count
 
 
 def _without_last_pair(f):
@@ -571,8 +576,7 @@ def test_printed_witnesses_replay_through_their_law_check(capsys, monkeypatch, o
     # witness that the check replays
     assert [name for name, *_ in replayed] == [
         name for name, description in failures.items()
-        if (name in PER_CASE_LAWS or name in _SWEPT)
-        and not description.startswith("internal error:")]
+        if chain_checks(name) and not description.startswith("internal error:")]
     # every mutation breaks the unary inverse laws on a one-morphism witness
     assert [(description, check, len(morphisms))
             for name, description, check, morphisms in replayed
@@ -590,7 +594,7 @@ def test_run_all_runs_every_law_in_registry_order():
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_a_chain_sweep_checks_every_chain_once_in_product_order(length):
     seen = []
-    steps = list(laws._chains(length, 2, lambda *chain: seen.append(chain))(6, None))
+    steps = list(laws._chains(length, 2, lambda *chain: seen.append(chain), 6, None))
     expected, counts = [], []
     for sizes in itertools.product(range(3), repeat=length + 1):
         objects = [make(n) for make, n in zip(laws._CHAIN, sizes)]
@@ -614,20 +618,20 @@ def test_a_chain_sweep_checks_every_chain_once_in_product_order(length):
     assert len({id(laws._src(0)), id(laws._tgt(0)), id(laws._mid(0))}) == 3
     # the next run enumerates afresh: nothing is kept between runs
     again = []
-    list(laws._chains(length, 2, lambda *chain: again.append(chain))(6, None))
+    list(laws._chains(length, 2, lambda *chain: again.append(chain), 6, None))
     assert again == seen and not any(f is g for f, g in zip(again[-1], seen[-1]))
 
 
 @pytest.mark.parametrize("sweep, k", [
     # in the first size tuple, which holds one chain of zero morphisms, then
     # in later ones
-    (lambda check: (laws._chains(2, 3, check),), 1),
-    (lambda check: (laws._chains(2, 3, check),), 3),
-    (lambda check: (laws._chains(2, 3, check),), 1000),
+    (lambda check: laws._each(2, 3, None, check), 1),
+    (lambda check: laws._each(2, 3, None, check), 3),
+    (lambda check: laws._each(2, 3, None, check), 1000),
     # the last of the 5 chains of bound 1, then samples of size 2 and of size 3
-    (lambda check: (laws._chains(1, 1, check), laws._samples(1, 2, check)), 5),
-    (lambda check: (laws._chains(1, 1, check), laws._samples(1, 2, check)), 6),
-    (lambda check: (laws._chains(1, 1, check), laws._samples(1, 2, check)), 40),
+    (lambda check: laws._each(1, 1, 2, check), 5),
+    (lambda check: laws._each(1, 1, 2, check), 6),
+    (lambda check: laws._each(1, 1, 2, check), 40),
 ])
 def test_a_failing_chain_is_counted_as_the_kth_case(monkeypatch, sweep, k):
     seen = []
