@@ -31,7 +31,9 @@ yields the printed description.  Most other sweeps check one object
 X = {1..n} at a time: ``_objects(bound, steps)`` runs a step function
 ``(n, X) -> Iterator[Step]`` at every size up to its bound, or up to the
 cap if it is None.  Three laws keep a hand-written sweep; the comment
-above :data:`LAWS` says why.
+above :data:`LAWS` says why.  Two of them take a bound as their leading
+argument, bound in :data:`LAWS` like the others', so every bound a law
+has is stated there; wagner-preston has none.
 """
 
 from __future__ import annotations
@@ -243,9 +245,10 @@ def _law_inverse_pair(f: PBij, g: PBij) -> str | None:
     return None
 
 
-def _law_idempotent_meet(cap: int, rng: random.Random) -> Iterator[Step]:
-    """1_A∘1_B = 1_{A∩B} = 1_B∘1_A for all subset pairs."""
-    X = _src(min(cap, 5))
+def _law_idempotent_meet(bound: int, cap: int, rng: random.Random) -> Iterator[Step]:
+    """1_A∘1_B = 1_{A∩B} = 1_B∘1_A for all subset pairs of X = {1..n}, at
+    the one size n = ``bound`` (never above the cap)."""
+    X = _src(min(cap, bound))
     projections = [(A, partial_identity(X, A)) for A in X.subsets()]
     for A, id_a in projections:
         for B, id_b in projections:
@@ -256,10 +259,11 @@ def _law_idempotent_meet(cap: int, rng: random.Random) -> Iterator[Step]:
                                  f"meet law broken for A={list(A)} B={list(B)}")
 
 
-def _law_zero_morphisms(cap: int, rng: random.Random) -> Iterator[Step]:
-    """Hom(∅, Y) and Hom(X, ∅) are singletons; the zero morphism absorbs."""
+def _law_zero_morphisms(bound: int, cap: int, rng: random.Random) -> Iterator[Step]:
+    """Hom(∅, Y) and Hom(X, ∅) are singletons; the zero morphism absorbs.
+    Checked at every size pair up to ``bound`` (never above the cap)."""
     P = _mid(2)
-    for a, b in itertools.product(range(min(cap, 3) + 1), repeat=2):
+    for a, b in itertools.product(range(min(cap, bound) + 1), repeat=2):
         X, Y = _src(a), _tgt(b)
         yield 1, _failure_if(
             list(enumerate_pbij(FinSet(), Y)) != [zero_morphism(FinSet(), Y)]
@@ -510,11 +514,12 @@ def _law_noether_second(n: int, X: FinSet) -> Iterator[Step]:
 # with partial: _chains(chain length, bound, check), _samples(chain length,
 # first size, check) and _objects(bound, or None for the cap, step function);
 # _each(chain length, exhaustive to, sampled from, check) declares chains then
-# samples.  Three laws keep a sweep of their own: idempotent-meet checks the
-# top size alone, wagner-preston fixed tables whatever the cap, and
-# zero-morphisms checks each size pair's empty-set Hom-sets before that pair's
-# morphisms (a sweep of the former alone would fail a missing zero at a
-# different count)
+# samples.  Three laws keep a sweep of their own:
+# _law_idempotent_meet(bound) checks the subset pairs of the one size bound,
+# _law_zero_morphisms(bound) checks each size pair up to bound, its empty-set
+# Hom-sets before its morphisms (a sweep of the former alone would fail a
+# missing zero at a different count), and wagner-preston, which has no bound,
+# checks fixed tables whatever the cap
 LAWS: dict[str, tuple[_Sweep, ...]] = {
     "composition-closure": _each(2, 3, 4, _law_composition_closure),
     "associativity": _each(3, 2, 3, _law_associativity),
@@ -522,8 +527,8 @@ LAWS: dict[str, tuple[_Sweep, ...]] = {
     "inverse-laws": (partial(_chains, 1, 3, _law_inverse),
                      partial(_chains, 2, 3, _law_contravariance),
                      partial(_samples, 2, 4, _law_inverse_pair)),
-    "idempotent-meet": (_law_idempotent_meet,),
-    "zero-morphisms": (_law_zero_morphisms,),
+    "idempotent-meet": (partial(_law_idempotent_meet, 5),),
+    "zero-morphisms": (partial(_law_zero_morphisms, 3),),
     "cancellation-agreement": _each(1, 3, 4, _law_cancellation_agreement),
     "monoid-size": (partial(_objects, None, _law_monoid_size),),
     "monoid-closure": (partial(_objects, 3, _law_monoid_closure),),

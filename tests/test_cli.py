@@ -17,6 +17,7 @@ from pbcat.core import (FinSet, InternalContradictionError, PBij, cancellation_o
                         enumerate_pbij, inverse)
 from pbcat.exact import Grid3x3, build_noether_grid, make_ses, pair_grid
 from pbcat.laws import law_names, run_all, run_law
+from pbcat.monoid import CayleyTable
 from pbcat.textio import parse_pbij, serialize_cayley, serialize_grid, serialize_pbij
 
 from helpers import fin, i_of_n_table, pbij_count, universe
@@ -281,11 +282,12 @@ PER_SIZE_COUNTS = {
     laws._law_noether_second: lambda n: 4 ** n,
 }
 
-# the cases each hand-written sweep checks at --max-size c
+# the cases each hand-written sweep checks at --max-size c, after the
+# arguments LAWS binds (a bound, or none)
 SWEEP_COUNTS = {
-    laws._law_idempotent_meet: lambda c: 4 ** min(c, 5),
-    laws._law_zero_morphisms: lambda c: sum(1 + pbij_count(a, b) for a, b in
-                                            itertools.product(range(min(c, 3) + 1), repeat=2)),
+    laws._law_idempotent_meet: lambda bound, c: 4 ** min(c, bound),
+    laws._law_zero_morphisms: lambda bound, c: sum(
+        1 + pbij_count(a, b) for a, b in itertools.product(range(min(c, bound) + 1), repeat=2)),
     laws._law_wagner_preston: lambda c: 61,
 }
 
@@ -295,14 +297,15 @@ def sweep_count(sweep, cap):
     from its declaration: 30 samples per sampled size, every chain over
     objects of sizes up to a chain sweep's bound, and an object sweep's
     closed form at each size up to its bound."""
-    if sweep in SWEEP_COUNTS:
-        return SWEEP_COUNTS[sweep](cap)
-    if sweep.func is laws._objects:
-        bound, steps = sweep.args
+    func, args = getattr(sweep, "func", sweep), getattr(sweep, "args", ())
+    if func in SWEEP_COUNTS:
+        return SWEEP_COUNTS[func](*args, cap)
+    if func is laws._objects:
+        bound, steps = args
         top = cap if bound is None else min(cap, bound)
         return sum(PER_SIZE_COUNTS[steps](n) for n in range(top + 1))
-    length, first, _ = sweep.args
-    if sweep.func is laws._samples:
+    length, first, _ = args
+    if func is laws._samples:
         return 30 * len(range(first, cap + 1))
     return sum(prod(pbij_count(a, b) for a, b in zip(sizes, sizes[1:]))
                for sizes in itertools.product(range(min(cap, first) + 1), repeat=length + 1))
@@ -334,7 +337,8 @@ def test_every_law_has_a_closed_form_count():
     sweeps = [sweep for law in laws.LAWS.values() for sweep in law]
     assert {sweep.args[1] for sweep in sweeps
             if getattr(sweep, "func", None) is laws._objects} == PER_SIZE_COUNTS.keys()
-    assert {sweep for sweep in sweeps if not isinstance(sweep, partial)} == SWEEP_COUNTS.keys()
+    assert {getattr(sweep, "func", sweep) for sweep in sweeps} - {
+        laws._chains, laws._samples, laws._objects} == SWEEP_COUNTS.keys()
 
 
 @pytest.mark.parametrize("name, sweeps, cap, count", [
@@ -342,7 +346,11 @@ def test_every_law_has_a_closed_form_count():
     ("associativity", laws._each(3, 3, 4, laws._law_associativity), 3, 134_920),
     # sum of 4^n for n up to 4
     ("noether-second", (partial(laws._objects, 4, laws._law_noether_second),), 6, 341),
-], ids=["associativity", "noether-second"])
+    # sum of 1 + H(a,b) over sizes up to 2: 9 + 20
+    ("zero-morphisms", (partial(laws._law_zero_morphisms, 2),), 6, 29),
+    # 4^4 subset pairs at the one size 4
+    ("idempotent-meet", (partial(laws._law_idempotent_meet, 4),), 6, 256),
+], ids=["associativity", "noether-second", "zero-morphisms", "idempotent-meet"])
 def test_the_count_tests_follow_the_registry(monkeypatch, name, sweeps, cap, count):
     monkeypatch.setitem(laws.LAWS, name, sweeps)
     assert law_count(name, cap) == count
@@ -729,14 +737,262 @@ def test_kernel_report_round_trips(capsys, tmp_path):
     assert parsed["ker_f"] == kernel(f)
 
 
-def test_cokernel_of_full_image_reports_empty_object(capsys, tmp_path):
-    f = PBij(fin("1"), fin("a"), [("1", "a")])
-    path = tmp_path / "f.pbij"
-    path.write_text(serialize_pbij(f, "f"))
-    code, out, _ = run_cli(capsys, "cokernel", str(path))
-    assert code == 0
-    assert "cokernel object: ∅" in out
-    assert "epi: true" in out
+# morphism files: f has a full image, f-partial misses c, z is the zero
+# morphism and e has an empty source
+MORPHISM_FILES = {
+    "f": serialize_pbij(PBij(fin("1 2 3"), fin("a b"), [("1", "b"), ("3", "a")]), "f"),
+    "f-partial": serialize_pbij(PBij(fin("1 2 3"), fin("a b c"), [("1", "b"), ("3", "a")]), "f"),
+    "z": "pbij z : 1 2 -> a b\n",
+    "e": "pbij e : -> a\n",
+}
+
+# the kernel, cokernel and factorize reports on each morphism file, as recorded
+RECORDED_REPORTS = {
+    ("f", "kernel"): """\
+pbcat report
+command: kernel
+max-size: 3
+seed: 0
+
+input:
+pbij f : 1 2 3 -> a b
+1 -> b
+3 -> a
+
+kernel object: 2
+pbij ker_f : 2 -> 1 2 3
+2 -> 2
+
+mono: true
+composite-is-zero: true
+result: PASS
+""",
+    ("f", "cokernel"): """\
+pbcat report
+command: cokernel
+max-size: 3
+seed: 0
+
+input:
+pbij f : 1 2 3 -> a b
+1 -> b
+3 -> a
+
+cokernel object: ∅
+pbij coker_f : a b ->
+
+epi: true
+composite-is-zero: true
+result: PASS
+""",
+    ("f", "factorize"): """\
+pbcat report
+command: factorize
+max-size: 3
+seed: 0
+
+input:
+pbij f : 1 2 3 -> a b
+1 -> b
+3 -> a
+
+via object: a b
+pbij epi_f : 1 2 3 -> a b
+1 -> b
+3 -> a
+
+pbij mono_f : a b -> a b
+a -> a
+b -> b
+
+mono: true
+epi: true
+recomposes: true
+split-witness: true
+result: PASS
+""",
+    ("f-partial", "kernel"): """\
+pbcat report
+command: kernel
+max-size: 3
+seed: 0
+
+input:
+pbij f : 1 2 3 -> a b c
+1 -> b
+3 -> a
+
+kernel object: 2
+pbij ker_f : 2 -> 1 2 3
+2 -> 2
+
+mono: true
+composite-is-zero: true
+result: PASS
+""",
+    ("f-partial", "cokernel"): """\
+pbcat report
+command: cokernel
+max-size: 3
+seed: 0
+
+input:
+pbij f : 1 2 3 -> a b c
+1 -> b
+3 -> a
+
+cokernel object: c
+pbij coker_f : a b c -> c
+c -> c
+
+epi: true
+composite-is-zero: true
+result: PASS
+""",
+    ("f-partial", "factorize"): """\
+pbcat report
+command: factorize
+max-size: 3
+seed: 0
+
+input:
+pbij f : 1 2 3 -> a b c
+1 -> b
+3 -> a
+
+via object: a b
+pbij epi_f : 1 2 3 -> a b
+1 -> b
+3 -> a
+
+pbij mono_f : a b -> a b c
+a -> a
+b -> b
+
+mono: true
+epi: true
+recomposes: true
+split-witness: true
+result: PASS
+""",
+    ("z", "kernel"): """\
+pbcat report
+command: kernel
+max-size: 3
+seed: 0
+
+input:
+pbij z : 1 2 -> a b
+
+kernel object: 1 2
+pbij ker_z : 1 2 -> 1 2
+1 -> 1
+2 -> 2
+
+mono: true
+composite-is-zero: true
+result: PASS
+""",
+    ("z", "cokernel"): """\
+pbcat report
+command: cokernel
+max-size: 3
+seed: 0
+
+input:
+pbij z : 1 2 -> a b
+
+cokernel object: a b
+pbij coker_z : a b -> a b
+a -> a
+b -> b
+
+epi: true
+composite-is-zero: true
+result: PASS
+""",
+    ("z", "factorize"): """\
+pbcat report
+command: factorize
+max-size: 3
+seed: 0
+
+input:
+pbij z : 1 2 -> a b
+
+via object: ∅
+pbij epi_z : 1 2 ->
+
+pbij mono_z : -> a b
+
+mono: true
+epi: true
+recomposes: true
+split-witness: true
+result: PASS
+""",
+    ("e", "kernel"): """\
+pbcat report
+command: kernel
+max-size: 3
+seed: 0
+
+input:
+pbij e : -> a
+
+kernel object: ∅
+pbij ker_e : ->
+
+mono: true
+composite-is-zero: true
+result: PASS
+""",
+    ("e", "cokernel"): """\
+pbcat report
+command: cokernel
+max-size: 3
+seed: 0
+
+input:
+pbij e : -> a
+
+cokernel object: a
+pbij coker_e : a -> a
+a -> a
+
+epi: true
+composite-is-zero: true
+result: PASS
+""",
+    ("e", "factorize"): """\
+pbcat report
+command: factorize
+max-size: 3
+seed: 0
+
+input:
+pbij e : -> a
+
+via object: ∅
+pbij epi_e : ->
+
+pbij mono_e : -> a
+
+mono: true
+epi: true
+recomposes: true
+split-witness: true
+result: PASS
+""",
+}
+
+
+@pytest.mark.parametrize("morphism, command", list(RECORDED_REPORTS),
+                         ids=[f"{m}-{c}" for m, c in RECORDED_REPORTS])
+def test_file_commands_print_the_recorded_report(capsys, tmp_path, morphism, command):
+    path = tmp_path / f"{morphism}.pbij"
+    path.write_text(MORPHISM_FILES[morphism])
+    assert run_cli(capsys, command, str(path)) == (0, RECORDED_REPORTS[morphism, command], "")
 
 
 def test_factorize_report_round_trips(capsys, tmp_path):
@@ -767,6 +1023,14 @@ def test_noether_commands_print_both_sides_and_the_iso(capsys):
     # an omitted set option is the empty set
     assert run_cli(capsys, "noether1", "--x", "a") == run_cli(
         capsys, "noether1", "--x", "a", "--x1", "", "--x2", "")
+
+    for argv, iso in ((("noether2", "--x", "a b c d", "--x1", "a b", "--x2", "b c"),
+                       "pbij iso : c -> c\nc -> c\n"),
+                      (("noether1", "--x", "a b c d", "--x1", "a", "--x2", "a b"),
+                       "pbij iso : c d -> c d\nc -> c\nd -> d\n")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"\nverdict: EQUAL\n\n{iso}\nresult: PASS\n")
 
 
 @pytest.mark.parametrize("command, x, x1, x2, label, token", [
@@ -835,6 +1099,23 @@ def test_grid33_completes_the_grid_of_every_subset_pair(capsys, tmp_path, seed):
                 assert printed[name].target.elements == expected.target.elements
 
 
+# the last lines of grid33's report, as recorded
+@pytest.mark.parametrize("grid, bottom_row", [
+    # A = a b and B = b c, which are not nested
+    (lambda: pair_grid(fin("a b c d"), ["a", "b"], ["b", "c"]),
+     "pbij phi : a -> a d\na -> a\n\npbij psi : a d -> d\nd -> d\n\nvalidation: PASS\n"),
+    (lambda: build_noether_grid(fin("a b c d"), ["a"], ["a", "b"]),
+     "pbij phi : b -> b c d\nb -> b\n\npbij psi : b c d -> c d\nc -> c\nd -> d\n\n"
+     "validation: PASS\n"),
+], ids=["pair-grid", "noether-grid"])
+def test_grid33_prints_the_recorded_bottom_row(capsys, tmp_path, grid, bottom_row):
+    path = tmp_path / "grid.txt"
+    path.write_text(serialize_grid(grid()))
+    code, out, err = run_cli(capsys, "grid33", str(path))
+    assert (code, err) == (0, "")
+    assert "".join(out.splitlines(keepends=True)[-bottom_row.count("\n"):]) == bottom_row
+
+
 def test_grid33_rejects_a_mathematically_broken_grid(capsys, tmp_path):
     grid = build_noether_grid(universe(2), fin("1"), fin("1"))
     text = serialize_grid(grid).replace("arrow (1,1)->(2,1):\n1 -> 1\n",
@@ -844,6 +1125,14 @@ def test_grid33_rejects_a_mathematically_broken_grid(capsys, tmp_path):
     code, out, err = run_cli(capsys, "grid33", str(path))
     assert code == 1
     assert "invalid diagram" in err
+
+    # row 2's beta sends a, which its alpha hits
+    text = serialize_grid(build_noether_grid(fin("a b"), [], ["a"]))
+    broken = text.replace("arrow (2,2)->(2,3):\nb -> b\n", "arrow (2,2)->(2,3):\na -> b\n")
+    assert broken != text
+    path.write_text(broken)
+    assert run_cli(capsys, "grid33", str(path)) == (
+        1, "", "pbcat: invalid diagram: row 2 is not exact: beta∘alpha is not the zero morphism\n")
 
 
 def test_grid33_rejects_a_completion_made_with_a_lossy_inverse(capsys, monkeypatch, tmp_path):
@@ -864,6 +1153,11 @@ def test_wagner_preston_accepts_and_embeds(capsys, tmp_path):
     assert parsed["theta_e"] == PBij(fin("e a"), fin("e a"), [("e", "e"), ("a", "a")])
     assert parsed["theta_a"] == PBij(fin("e a"), fin("e a"), [("e", "a"), ("a", "e")])
     assert "result: PASS" in out
+
+    # the chain 0 < 1 < 2 under min
+    path.write_text(serialize_cayley(CayleyTable.from_operation("0 1 2".split(), min), "chain"))
+    code, out, err = run_cli(capsys, "wagner-preston", str(path))
+    assert (code, err) == (0, "") and "result: PASS" in out
 
 
 def test_wagner_preston_rejects_left_zero_with_witness(capsys, tmp_path):
@@ -920,6 +1214,16 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "kernel", str(latin1))
     assert code == 2 and out == "" and err.startswith("pbcat: cannot read input: ")
 
+    repeated = tmp_path / "repeated-image.pbij"
+    repeated.write_text("pbij f : 1 2 -> a\n1 -> a\n2 -> a\n")
+    assert run_cli(capsys, "kernel", str(repeated)) == (
+        2, "", "pbcat: parse error: line 3: 'a' is hit twice; not injective\n")
+
+    unknown = tmp_path / "unknown-entry.tbl"
+    unknown.write_text("semigroup S = e a\ne: e a\na: a q\n\n")
+    assert run_cli(capsys, "wagner-preston", str(unknown)) == (
+        2, "", "pbcat: parse error: line 3: unknown element 'q' in row 'a'\n")
+
     out, err = usage_error(capsys, "enumerate", "--max-size", "7")
     assert out == "" and err.endswith(
         "pbcat enumerate: error: argument --max-size: max-size must be between 0 and 6, got 7\n")
@@ -935,13 +1239,15 @@ def test_internal_contradiction_exits_one_with_a_message(capsys, monkeypatch):
     assert err == "pbcat: internal contradiction: translation maps are not injective\n"
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bogus"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "pbcat: error: the following arguments are required: command")
 
 
 def test_the_parser_is_built_once_and_reuse_changes_no_output(capsys, tmp_path):
