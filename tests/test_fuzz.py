@@ -5,9 +5,12 @@ character inserted, deleted or replaced; a token inserted, deleted or
 replaced; and one grammar-aware change that keeps the file well formed
 (one arrow pair or table entry changed), so that some mutants parse and
 then fail the mathematics.  Every mutant goes through ``cli.main``, which
-must return 0, 1 or 2 and raise nothing.
+must return 0, 1 or 2 and raise nothing.  A second seeded set of morphism
+and grid mutants goes straight to the parsers, and the outcome of each, its
+error line and message or its re-serialized value, is pinned by a digest.
 """
 
+import hashlib
 import random
 import re
 
@@ -16,7 +19,7 @@ import pytest
 from pbcat.cli import main
 from pbcat.core import PBij
 from pbcat.exact import build_noether_grid
-from pbcat.textio import ParseError, parse_pbij, serialize_grid, serialize_pbij
+from pbcat.textio import ParseError, parse_grid, parse_pbij, serialize_grid, serialize_pbij
 
 from helpers import fin, universe
 
@@ -128,3 +131,41 @@ def test_mutated_files_exit_zero_one_or_two_and_accepted_morphisms_round_trip(
             else:
                 assert parse_pbij(serialize_pbij(f, name)) == (name, f), text
     assert codes == {0, 1, 2}
+
+
+def _reserialized_pbij(text):
+    name, f = parse_pbij(text)
+    return serialize_pbij(f, name)
+
+
+def _reserialized_grid(text):
+    return serialize_grid(parse_grid(text))
+
+
+PARSE_SEED = 20_261_020
+PARSE_ROUNDS = 350
+# each parser's valid files, read back and printed again when they parse
+PARSERS = {"pbij": (MORPHISMS, _reserialized_pbij), "grid": (GRIDS, _reserialized_grid)}
+
+
+def test_mutated_morphism_and_grid_texts_parse_or_fail_as_before():
+    rng = random.Random(PARSE_SEED)
+    outcomes = []
+    for _ in range(PARSE_ROUNDS):
+        for kind, (files, reserialized) in PARSERS.items():
+            text = rng.choice(files)
+            for mutate in (char_mutant, token_mutant, pair_mutant):
+                try:
+                    outcome = reserialized(mutate(rng, text))
+                except ParseError as exc:
+                    outcome = f"line {exc.line}: {exc.message}"
+                outcomes.append(f"{kind} {mutate.__name__}: {outcome}")
+    assert len(outcomes) == 2_100
+    # both parsers accept some mutants and refuse others
+    for kind in PARSERS:
+        ours = [o for o in outcomes if o.startswith(kind)]
+        assert 0 < sum(": line " in o for o in ours) < len(ours)
+    # the outcome of every text, messages and line numbers included, as
+    # the parsers gave them before their line walks were rewritten
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "94e5d4d1d44447d1c4ff08fb7aa9a0483d5dbefeedc61aa0464c5fe88049bb71"

@@ -6,7 +6,7 @@ import pytest
 
 from pbcat.cli import main
 from pbcat.core import FinSet, PBij, enumerate_pbij
-from pbcat.exact import build_noether_grid, complete_3x3
+from pbcat.exact import build_noether_grid, complete_3x3, pair_grid
 from pbcat.monoid import CayleyTable
 from pbcat.textio import (
     ParseError,
@@ -145,6 +145,20 @@ def test_grid_round_trip_with_bottom_row():
     back = parse_grid(serialize_grid(completed))
     assert back == completed
     back.validate()
+
+
+def test_every_small_pair_grid_round_trips_before_and_after_completion():
+    grids = 0
+    for n in range(4):
+        X = universe(n)
+        for A in X.subsets():
+            for B in X.subsets():
+                grid = pair_grid(X, A, B)
+                completed = grid.with_bottom_row(*complete_3x3(grid))
+                for g in (grid, completed):
+                    assert parse_grid(serialize_grid(g)) == g
+                grids += 1
+    assert grids == 1 + 4 + 16 + 64
 
 
 def test_grid_round_trip_all_objects_empty():
