@@ -31,7 +31,7 @@ from .laws import LawResult, law_names, run_law
 from .monoid import NotInverseSemigroupError, inverse_monoid_size, wagner_preston
 from .textio import (
     ParseError,
-    _unambiguous,
+    _check_elements,
     format_set,
     parse_cayley,
     parse_grid,
@@ -68,7 +68,7 @@ def _seed(text: str) -> int:
 def _token_set(text: str) -> FinSet:
     """The set an option names; its tokens must print back unambiguously."""
     try:
-        return FinSet(_unambiguous(t, "element") for t in text.split())
+        return FinSet(_check_elements(text.split()))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

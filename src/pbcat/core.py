@@ -241,9 +241,8 @@ def _trusted(source: FinSet, target: FinSet, fwd: dict[str, str]) -> PBij:
     return f
 
 
-def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> FinSet:
-    """``A`` as a FinSet in ``X``'s order, after checking that it lies
-    inside ``X``.
+def _within(A: Iterable[str], X: FinSet, message: str | None = None) -> frozenset[str]:
+    """The tokens of ``A``, after checking that they lie inside ``X``.
 
     Raises :class:`InvalidSubsetError` with ``message``, or by default
     with the stray tokens and the elements of ``X``.
@@ -253,7 +252,13 @@ def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> FinSet:
         if message is None:
             message = f"{sorted(keep - X._as_set)!r} not contained in {list(X.elements)!r}"
         raise InvalidSubsetError(message)
-    return X.intersection(keep)
+    return keep
+
+
+def _subset(A: Iterable[str], X: FinSet, message: str | None = None) -> FinSet:
+    """``A`` as a FinSet in ``X``'s order, after :func:`_within` has checked
+    that it lies inside ``X``."""
+    return X.intersection(_within(A, X, message))
 
 
 def compose(g: PBij, f: PBij) -> PBij:
@@ -292,7 +297,8 @@ def inverse(f: PBij) -> PBij:
 
 def partial_identity(X: FinSet, A: Iterable[str]) -> PBij:
     """The identity on A viewed as a morphism X -> X; requires A ⊆ X."""
-    return _trusted(X, X, {a: a for a in _subset(A, X).elements})
+    keep = _within(A, X)
+    return _trusted(X, X, {x: x for x in X.elements if x in keep})
 
 
 def identity(X: FinSet) -> PBij:

@@ -17,6 +17,13 @@ be the literal "->"; those would make the formats ambiguous.  Serializers
 refuse such tokens, parsers report them with a line number.  Empty sets
 serialize to an empty token list (reports elsewhere print them as ∅).
 
+The parsers walk the input's lines by index and split each line once.  A
+pair line is checked in place; a header or object line checks its element
+list through one join, and walks it token by token only when it fails, to
+name the first bad token.  The parsers collect a morphism's pairs and leave
+the map's own checks to the :class:`PBij` constructor.  On the way out, an
+element list is checked the same way, through one join.
+
 parse(serialize(x)) returns a value equal to x for all three formats.
 """
 
@@ -44,78 +51,70 @@ def format_set(X: FinSet) -> str:
     return " ".join(X.elements) if len(X) else "∅"
 
 
-def _unambiguous(token: str, what: str) -> str:
-    """Check a token that ``str.split()`` produced, so is already non-empty
-    and free of whitespace: only ":" and "->" remain to rule out."""
+def _check_token(token: str, what: str) -> str:
+    if not token or token.split() != [token]:
+        raise ValueError(f"{what} {token!r} is empty or contains whitespace")
     if ":" in token or token == "->":
         raise ValueError(f"{what} {token!r} would be ambiguous in the text format")
     return token
 
 
-def _check_token(token: str, what: str) -> str:
-    if not token or token.split() != [token]:
-        raise ValueError(f"{what} {token!r} is empty or contains whitespace")
-    return _unambiguous(token, what)
+def _check_elements(tokens: Sequence[str]) -> Sequence[str]:
+    """Element tokens that ``str.split()`` produced, so non-empty and free
+    of whitespace, checked for ":" and "->" through one join.  Only a list
+    that fails is walked, to name its first bad token."""
+    if ":" in " ".join(tokens) or "->" in tokens:
+        for t in tokens:
+            _check_token(t, "element")
+    return tokens
 
 
 @functools.lru_cache(maxsize=64)
 def _joined(elements: tuple[str, ...]) -> str:
     """The element tokens of one printed object, checked and joined by
-    spaces.  A report prints the same object many times (a Wagner-Preston
-    report prints its carrier twice per element), so the last few element
-    tuples are remembered; the bound keeps a long run from holding every
-    object it ever printed."""
-    for e in elements:
-        _check_token(e, "element")
-    return " ".join(elements)
+    spaces.  The joined text is the check: it splits back into the tokens
+    and holds no ":", and no token is "->".  A report prints the same
+    object many times (a Wagner-Preston report prints its carrier twice per
+    element), so the last few element tuples are remembered; the bound
+    keeps a long run from holding every object it ever printed."""
+    text = " ".join(elements)
+    if ":" in text or "->" in elements or text.split() != list(elements):
+        for e in elements:
+            _check_token(e, "element")
+    return text
 
 
 def _parse_token(token: str, what: str, line: int) -> str:
     try:
-        return _unambiguous(token, what)
+        return _check_token(token, what)
     except ValueError as exc:
         raise ParseError(line, str(exc)) from None
 
 
-class _Lines:
-    """Cursor over input lines that tracks 1-based line numbers.
+def _lines(text: str) -> list[str]:
+    """The lines of an input.  A final newline ends the last line rather
+    than starting one, and an empty input is one empty line.  So an input
+    has at least one line, and ``lines[i]`` is line number i + 1."""
+    lines = text.split("\n")
+    if len(lines) > 1 and not lines[-1]:
+        lines.pop()
+    return lines
 
-    A final newline ends the last line rather than starting one, and an
-    empty input is one empty line.  So an input has at least one line, and
-    once a line is read, ``lineno`` names a line of the input, at the end
-    of the input too.
-    """
 
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        if len(self.lines) > 1 and not self.lines[-1]:
-            self.lines.pop()
-        self.pos = 0
+def _next_content(lines: list[str], i: int) -> tuple[int, list[str]]:
+    """The number and tokens of the first line with tokens from
+    ``lines[i]`` on; at the end, the last line's number and no tokens."""
+    for i in range(i, len(lines)):
+        tokens = lines[i].split()
+        if tokens:
+            return i + 1, tokens
+    return len(lines), []
 
-    @property
-    def lineno(self) -> int:
-        return self.pos  # number of the line just consumed
 
-    def next_line(self) -> str | None:
-        if self.pos >= len(self.lines):
-            return None
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def next_content(self) -> str | None:
-        """Advance past blank lines to the next line with tokens."""
-        while True:
-            line = self.next_line()
-            if line is None:
-                return None
-            if line.strip():
-                return line
-
-    def expect_end(self, what: str) -> None:
-        line = self.next_content()
-        if line is not None:
-            raise ParseError(self.lineno, f"unexpected content after {what}: {line.strip()!r}")
+def _expect_end(lines: list[str], i: int, what: str) -> None:
+    i, tokens = _next_content(lines, i)
+    if tokens:
+        raise ParseError(i, f"unexpected content after {what}: {lines[i - 1].strip()!r}")
 
 
 def serialize_pbij(f: PBij, name: str = "f") -> str:
@@ -123,27 +122,31 @@ def serialize_pbij(f: PBij, name: str = "f") -> str:
     _check_token(name, "morphism name")
     header = " ".join(filter(None, ("pbij", name, ":", _joined(f.source.elements),
                                     "->", _joined(f.target.elements))))
-    body = "".join(f"{x} -> {y}\n" for x, y in f.items())
-    return header + "\n" + body + "\n"
+    return "\n".join([header, *map(" -> ".join, f.items()), "", ""])
 
 
-def _parse_pairs(cursor: _Lines, stop_keywords: Sequence[str]) -> list[tuple[str, str]]:
-    """Read `x -> y` lines until a blank line, EOF, or a new keyword line."""
+def _read_pairs(lines: list[str], i: int,
+                stop_keywords: Sequence[str]) -> tuple[int, list[tuple[str, str]]]:
+    """The `x -> y` pairs from ``lines[i]`` on, up to a blank line, a line
+    that starts with one of ``stop_keywords``, or the end; returns the index
+    of the line that ended them and the pairs.  A pair line has three
+    tokens, "->" in the middle, and neither side holds ":" or is "->"; only
+    a line that fails goes through the token check, which names its bad
+    side."""
     pairs: list[tuple[str, str]] = []
-    while True:
-        line = cursor.next_line()
-        if line is None or not line.strip():
-            return pairs
+    for i in range(i, len(lines)):
+        line = lines[i]
         tokens = line.split()
-        if tokens[0] in stop_keywords:
-            cursor.pos -= 1
-            return pairs
+        if not tokens or tokens[0] in stop_keywords:
+            return i, pairs
         if len(tokens) != 3 or tokens[1] != "->":
-            raise ParseError(cursor.lineno, f"expected 'x -> y', got {line.strip()!r}")
-        x = _parse_token(tokens[0], "element", cursor.lineno)
-        y = _parse_token(tokens[2], "element", cursor.lineno)
+            raise ParseError(i + 1, f"expected 'x -> y', got {line.strip()!r}")
+        x, _, y = tokens
+        if ":" in line or x == "->" or y == "->":
+            _parse_token(x, "element", i + 1)
+            _parse_token(y, "element", i + 1)
         pairs.append((x, y))
-    return pairs
+    return len(lines), pairs
 
 
 def _build_pbij(source: FinSet, target: FinSet, pairs: list[tuple[str, str]],
@@ -161,29 +164,27 @@ def _build_pbij(source: FinSet, target: FinSet, pairs: list[tuple[str, str]],
 
 def parse_pbij(text: str) -> tuple[str, PBij]:
     """Parse a single morphism record; returns (name, morphism)."""
-    cursor = _Lines(text)
-    header = cursor.next_content()
-    if header is None:
+    lines = _lines(text)
+    lineno, tokens = _next_content(lines, 0)
+    if not tokens:
         raise ParseError(1, "empty input, expected a 'pbij' header")
-    tokens = header.split()
     if tokens[0] != "pbij":
-        raise ParseError(cursor.lineno, f"expected 'pbij', got {tokens[0]!r}")
+        raise ParseError(lineno, f"expected 'pbij', got {tokens[0]!r}")
     if len(tokens) < 4 or tokens[2] != ":":
-        raise ParseError(cursor.lineno, "header must look like 'pbij NAME : src -> tgt'")
-    name = _parse_token(tokens[1], "morphism name", cursor.lineno)
+        raise ParseError(lineno, "header must look like 'pbij NAME : src -> tgt'")
+    name = _parse_token(tokens[1], "morphism name", lineno)
     rest = tokens[3:]
     if rest.count("->") != 1:
-        raise ParseError(cursor.lineno, "header needs exactly one '->' between the element lists")
+        raise ParseError(lineno, "header needs exactly one '->' between the element lists")
     split = rest.index("->")
-    lineno = cursor.lineno
     try:
-        source = FinSet(_unambiguous(t, "element") for t in rest[:split])
-        target = FinSet(_unambiguous(t, "element") for t in rest[split + 1:])
+        source = FinSet(_check_elements(rest[:split]))
+        target = FinSet(_check_elements(rest[split + 1:]))
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
-    pairs = _parse_pairs(cursor, stop_keywords=())
+    read, pairs = _read_pairs(lines, lineno, ())
     f = _build_pbij(source, target, pairs, lineno)
-    cursor.expect_end("the morphism block")
+    _expect_end(lines, read, "the morphism block")
     return name, f
 
 
@@ -207,40 +208,41 @@ def parse_cayley(text: str) -> tuple[str, CayleyTable]:
     :class:`CayleyTable` constructor's re-check of the same facts.  The
     algebra is left to :func:`pbcat.monoid.verify_inverse_semigroup`.
     """
-    cursor = _Lines(text)
-    header = cursor.next_content()
-    if header is None:
+    lines = _lines(text)
+    lineno, tokens = _next_content(lines, 0)
+    if not tokens:
         raise ParseError(1, "empty input, expected a 'semigroup' header")
-    tokens = header.split()
     if tokens[0] != "semigroup":
-        raise ParseError(cursor.lineno, f"expected 'semigroup', got {tokens[0]!r}")
+        raise ParseError(lineno, f"expected 'semigroup', got {tokens[0]!r}")
     if len(tokens) < 3 or tokens[2] != "=":
-        raise ParseError(cursor.lineno, "header must look like 'semigroup NAME = e1 e2 ...'")
-    name = _parse_token(tokens[1], "semigroup name", cursor.lineno)
-    elements = tuple(_parse_token(t, "element", cursor.lineno) for t in tokens[3:])
+        raise ParseError(lineno, "header must look like 'semigroup NAME = e1 e2 ...'")
+    name = _parse_token(tokens[1], "semigroup name", lineno)
+    try:
+        elements = tuple(_check_elements(tokens[3:]))
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != len(elements):
-        raise ParseError(cursor.lineno, "duplicate element identifiers")
+        raise ParseError(lineno, "duplicate element identifiers")
 
     rows: list[tuple[int, ...]] = []
-    for i, e in enumerate(elements):
-        line = cursor.next_line()
-        if line is None or not line.strip():
-            raise ParseError(cursor.lineno, f"missing product row for {e!r}")
-        tokens = line.split()
+    end = len(lines)
+    for i, e in enumerate(elements, lineno):  # e's row is lines[i]
+        if i == end or not (tokens := lines[i].split()):
+            raise ParseError(min(i + 1, end), f"missing product row for {e!r}")
         if not tokens[0].endswith(":") or tokens[0][:-1] != e:
-            raise ParseError(cursor.lineno, f"expected row label '{e}:', got {tokens[0]!r}")
+            raise ParseError(i + 1, f"expected row label '{e}:', got {tokens[0]!r}")
         entries = tokens[1:]
         if len(entries) != len(elements):
-            raise ParseError(cursor.lineno,
+            raise ParseError(i + 1,
                              f"row {e!r} has {len(entries)} entries, expected {len(elements)}")
         try:
             rows.append(tuple(map(index.__getitem__, entries)))
         except KeyError as exc:  # the first unknown entry of the row
-            raise ParseError(cursor.lineno,
+            raise ParseError(i + 1,
                              f"unknown element {exc.args[0]!r} in row {e!r}") from None
     table = _trusted_table(elements, tuple(rows))
-    cursor.expect_end("the table")
+    _expect_end(lines, lineno + len(elements), "the table")
     return name, table
 
 
@@ -260,7 +262,7 @@ def serialize_grid(grid: Grid3x3) -> str:
 
     def emit(src: tuple[int, int], dst: tuple[int, int], arrow: PBij) -> None:
         chunks.append(_arrow_header(src, dst))
-        chunks.extend(f"{x} -> {y}" for x, y in arrow.items())
+        chunks.extend(map(" -> ".join, arrow.items()))
         chunks.append("")
 
     for r in range(3):
@@ -275,67 +277,62 @@ def serialize_grid(grid: Grid3x3) -> str:
     return "\n".join(chunks) + "\n"
 
 
-def _parse_cell(token: str, lineno: int) -> tuple[int, int]:
-    if (len(token) != 5 or token[0] != "(" or token[2] != "," or token[4] != ")"
-            or token[1] not in "123" or token[3] not in "123"):
-        raise ParseError(lineno, f"expected a cell like (1,2), got {token!r}")
-    return int(token[1]) - 1, int(token[3]) - 1
+# the cells an arrow header may name, as 0-based (row, column)
+_CELLS = {f"({r + 1},{c + 1})": (r, c) for r in range(3) for c in range(3)}
 
 
 def parse_grid(text: str) -> Grid3x3:
     """Parse a grid; arrows may come in any order, bottom row optional."""
-    cursor = _Lines(text)
+    lines = _lines(text)
+    end = len(lines)
     objects: dict[tuple[int, int], FinSet] = {}
-    for _ in range(9):
-        line = cursor.next_content()
-        if line is None:
-            raise ParseError(cursor.lineno, "expected nine 'object ROW COL = ...' lines")
-        tokens = line.split()
-        if tokens[0] != "object" or len(tokens) < 4 or tokens[3] != "=":
-            raise ParseError(cursor.lineno, f"expected 'object ROW COL = ...', got {line.strip()!r}")
-        if tokens[1] not in ("1", "2", "3") or tokens[2] not in ("1", "2", "3"):
-            raise ParseError(cursor.lineno, "object row/column indices must be 1, 2, or 3")
-        cell = (int(tokens[1]) - 1, int(tokens[2]) - 1)
-        if cell in objects:
-            raise ParseError(cursor.lineno, f"object {tokens[1]},{tokens[2]} given twice")
-        lineno = cursor.lineno
-        try:
-            objects[cell] = FinSet(_unambiguous(t, "element") for t in tokens[4:])
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-
     arrows: dict[tuple[tuple[int, int], tuple[int, int]], PBij] = {}
-    while True:
-        line = cursor.next_content()
-        if line is None:
-            break
+    i = 0  # the number of lines read, so also the number of the last one
+    while i < end:
+        line = lines[i]
         tokens = line.split()
-        if tokens[0] != "arrow" or len(tokens) != 2:
-            raise ParseError(cursor.lineno, f"expected 'arrow (r,c)->(r,c):', got {line.strip()!r}")
-        endpoints_token = tokens[1]
-        if not endpoints_token.endswith(":") or "->" not in endpoints_token:
-            raise ParseError(cursor.lineno, f"expected 'arrow (r,c)->(r,c):', got {line.strip()!r}")
-        src_txt, dst_txt = endpoints_token[:-1].split("->", 1)
-        src = _parse_cell(src_txt, cursor.lineno)
-        dst = _parse_cell(dst_txt, cursor.lineno)
+        i += 1
+        if not tokens:
+            continue
+        if len(objects) < 9:
+            if tokens[0] != "object" or len(tokens) < 4 or tokens[3] != "=":
+                raise ParseError(i, f"expected 'object ROW COL = ...', got {line.strip()!r}")
+            if tokens[1] not in ("1", "2", "3") or tokens[2] not in ("1", "2", "3"):
+                raise ParseError(i, "object row/column indices must be 1, 2, or 3")
+            cell = (int(tokens[1]) - 1, int(tokens[2]) - 1)
+            if cell in objects:
+                raise ParseError(i, f"object {tokens[1]},{tokens[2]} given twice")
+            try:
+                objects[cell] = FinSet(_check_elements(tokens[4:]))
+            except ValueError as exc:
+                raise ParseError(i, str(exc)) from None
+            continue
+        endpoints = tokens[-1][:-1]
+        if (tokens[0] != "arrow" or len(tokens) != 2 or not tokens[1].endswith(":")
+                or "->" not in endpoints):
+            raise ParseError(i, f"expected 'arrow (r,c)->(r,c):', got {line.strip()!r}")
+        src_txt, dst_txt = endpoints.split("->", 1)
+        src, dst = _CELLS.get(src_txt), _CELLS.get(dst_txt)
+        if src is None or dst is None:
+            bad = src_txt if src is None else dst_txt
+            raise ParseError(i, f"expected a cell like (1,2), got {bad!r}")
         horizontal = src[0] == dst[0] and dst[1] == src[1] + 1
         vertical = src[1] == dst[1] and dst[0] == src[0] + 1
         if not (horizontal or vertical):
-            raise ParseError(cursor.lineno,
-                             "arrows must step one cell right or one cell down")
+            raise ParseError(i, "arrows must step one cell right or one cell down")
         if (src, dst) in arrows:
-            raise ParseError(cursor.lineno, f"arrow {endpoints_token[:-1]} given twice")
-        header_line = cursor.lineno
-        pairs = _parse_pairs(cursor, stop_keywords=("arrow", "object"))
-        arrows[(src, dst)] = _build_pbij(objects[src], objects[dst], pairs,
-                                         header_line)
+            raise ParseError(i, f"arrow {endpoints} given twice")
+        header_line = i
+        i, pairs = _read_pairs(lines, i, ("arrow", "object"))
+        arrows[(src, dst)] = _build_pbij(objects[src], objects[dst], pairs, header_line)
+    if len(objects) < 9:
+        raise ParseError(end, "expected nine 'object ROW COL = ...' lines")
 
     def need(src: tuple[int, int], dst: tuple[int, int]) -> PBij:
         try:
             return arrows.pop((src, dst))
         except KeyError:
-            raise ParseError(cursor.lineno,
-                             f"missing arrow {_arrow_header(src, dst)[6:-1]}") from None
+            raise ParseError(end, f"missing arrow {_arrow_header(src, dst)[6:-1]}") from None
 
     def row(r: int) -> tuple[PBij, PBij]:
         return need((r, 0), (r, 1)), need((r, 1), (r, 2))
@@ -343,6 +340,6 @@ def parse_grid(text: str) -> Grid3x3:
     top, middle = row(0), row(1)
     bottom = [((2, c), (2, c + 1)) in arrows for c in range(2)]
     if bottom[0] != bottom[1]:
-        raise ParseError(cursor.lineno, "bottom row must carry both arrows or neither")
+        raise ParseError(end, "bottom row must carry both arrows or neither")
     col_arrows = tuple(tuple(need((s, c), (s + 1, c)) for c in range(3)) for s in range(2))
     return Grid3x3((top, middle, row(2) if bottom[0] else None), col_arrows)

@@ -1182,22 +1182,22 @@ def test_wagner_preston_rejects_a_non_associative_table_with_unique_inverses(
     assert "result: FAIL not an inverse semigroup" in out
 
 
-def test_wagner_preston_checks_each_printed_token_once(capsys, monkeypatch, tmp_path):
+def test_wagner_preston_checks_each_printed_token_once(capsys, tmp_path):
     path = tmp_path / "i3.txt"
     path.write_text(serialize_cayley(i_of_n_table(3)))
-    checked = []
-
-    def counted(token, what):
-        checked.append(token)
-        return check(token, what)
-
-    check = textio._check_token
-    monkeypatch.setattr(textio, "_check_token", counted)
     textio._joined.cache_clear()
     code, out, _ = run_cli(capsys, "wagner-preston", str(path))
     assert code == 0 and out.count("pbij theta_") == 34
-    # 34 morphism names, then the 34 carrier tokens once for the whole report
-    assert len(checked) == 34 + 34
+    # each of the 34 blocks prints the carrier twice; only the first print
+    # checks its tokens, and every later one finds it remembered
+    info = textio._joined.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * 34 - 1)
+    # a carrier that would print ambiguously is refused on every print
+    carrier = fin("m0 a:b")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(
+                "element 'a:b' would be ambiguous in the text format")):
+            serialize_pbij(PBij(carrier, carrier), "theta_m0")
 
 
 def test_malformed_inputs_exit_two(capsys, tmp_path):

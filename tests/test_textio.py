@@ -71,6 +71,8 @@ def test_pbij_round_trip_seeded_random_morphisms():
     ("\npbij f : 1 2 3 -> a b c\n1 -> a\n1 -> a\n2 -> b\n3 -> b\n\n", 6, "hit twice"),
     ("pbij f : 1 -> a\n\nextra\n", 3, "unexpected content"),
     ("pbij x:y : 1 -> a\n", 1, "ambiguous"),
+    ("pbij f : 1 -> a\n1:x -> a:y\n", 2, "element '1:x' would be ambiguous"),
+    ("pbij f : 1 -> a\n1 -> ->\n", 2, "element '->' would be ambiguous"),
 ])
 def test_parse_pbij_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ParseError, match=fragment) as err:
