@@ -1229,6 +1229,57 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
         "pbcat enumerate: error: argument --max-size: max-size must be between 0 and 6, got 7\n")
 
 
+# one input file per reader: morphism, grid and Cayley table
+LINE_END_FILES = {
+    "kernel": serialize_pbij(PBij(fin("1 2 3 4"), fin("a b c"), [("1", "b"), ("3", "a")]), "f"),
+    "grid33": serialize_grid(pair_grid(fin("1 2 3 4"), ["1", "2"], ["2", "3"])),
+    "wagner-preston": serialize_cayley(CayleyTable.from_operation("0 1 2".split(), min), "chain"),
+}
+
+
+@pytest.mark.parametrize("command", list(LINE_END_FILES))
+def test_crlf_and_lone_cr_line_ends_read_as_lf(capsys, tmp_path, command):
+    text = LINE_END_FILES[command]
+    crlf = text.replace("\n", "\r\n")
+    outcomes = []
+    for name, variant in (("lf", text), ("crlf", crlf), ("cr", text.replace("\n", "\r")),
+                          ("mixed", crlf.replace("\r\n", "\r", 2).replace("\r\n", "\n", 1))):
+        path = tmp_path / name
+        path.write_bytes(variant.encode())
+        outcomes.append(run_cli(capsys, command, str(path)))
+    assert outcomes[0][0] == 0 and outcomes[0][2] == ""
+    assert outcomes == [outcomes[0]] * 4
+
+
+@pytest.mark.parametrize("data, error", [
+    (b"\xef\xbb\xbfpbij f : 1 -> a\n1 -> a\n",
+     "parse error: line 1: expected 'pbij', got '\\ufeffpbij'"),
+    (b"pbi\xff f : 1 -> a\n1 -> a\n",
+     "cannot read input: 'utf-8' codec can't decode byte 0xff in position 3: "
+     "invalid start byte"),
+    (b"#" * 9000 + b"\xc3(\n",
+     "cannot read input: 'utf-8' codec can't decode byte 0xc3 in position 9000: "
+     "invalid continuation byte"),
+    (b"#" * 9000 + b"\xc3",
+     "cannot read input: 'utf-8' codec can't decode byte 0xc3 in position 9000: "
+     "unexpected end of data"),
+], ids=["byte-order-mark", "invalid-start-byte-at-3", "invalid-continuation-past-8192",
+        "truncated-at-the-end-past-8192"])
+def test_undecodable_input_gets_the_text_mode_message(capsys, tmp_path, data, error):
+    path = tmp_path / "f.pbij"
+    path.write_bytes(data)
+    assert run_cli(capsys, "kernel", str(path)) == (2, "", f"pbcat: {error}\n")
+
+
+def test_a_directory_or_a_missing_path_gets_its_os_error(capsys, tmp_path):
+    assert run_cli(capsys, "kernel", str(tmp_path)) == (
+        2, "", f"pbcat: cannot read input: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    missing = tmp_path / "missing.grid"
+    assert run_cli(capsys, "grid33", str(missing)) == (
+        2, "", f"pbcat: cannot read input: [Errno 2] No such file or directory: "
+               f"{str(missing)!r}\n")
+
+
 def test_internal_contradiction_exits_one_with_a_message(capsys, monkeypatch):
     def contradict(n):
         raise InternalContradictionError("translation maps are not injective")
