@@ -93,8 +93,18 @@ def _flag(value: bool) -> str:
 
 
 def _read_input(args: argparse.Namespace) -> str:
-    with open(args.input, encoding="utf-8") as handle:
-        return handle.read()
+    """The input file's text, as ``open(path, encoding="utf-8").read()``
+    returns it.
+
+    The bytes are decoded in one call, as text mode's ``read()`` decodes
+    them, so a decode error names the same byte at the same position.  Then
+    ``"\\r\\n"`` and lone ``"\\r"`` become ``"\\n"``, as text mode's universal
+    newlines turn them.  Reading bytes skips text mode's incremental decoder
+    and newline translator.
+    """
+    with open(args.input, "rb") as handle:
+        data = handle.read()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _safe_run_law(name: str, args: argparse.Namespace) -> LawResult:
@@ -241,14 +251,21 @@ def _cmd_wagner_preston(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The one parser of this process and its table of commands, built on
-    the first ``main`` call.
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                        dict[str, tuple[argparse.Namespace, tuple[str, ...]]]]:
+    """The one parser of this process, its table of commands, and each
+    command's option-free namespace, built on the first ``main`` call.
 
     The table is the ``choices`` of the subparsers action: each command's
     own parser, which binds its handler as ``run`` and checks its option
     values as argparse reads them.  ``main`` hands it the rest of an argv
     that starts with its name, so such a request is parsed once.
+
+    The option-free namespaces map each command to the namespace its own
+    parser returns for an argv of operands alone, and the names of those
+    operands: ``input`` for a file command, none for the others.  Each
+    operand's name stands in for its value, so every option holds the value
+    argparse gives it when the argv names none.
 
     Building it costs more than answering a typical file request.  argparse
     returns a fresh Namespace per parse and looks up ``sys.stdout`` and
@@ -266,15 +283,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                     "kernels and quotients, and semigroup embeddings.",
         formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    operands: dict[str, tuple[str, ...]] = {}
 
     def command(name: str, run: Callable[[argparse.Namespace], tuple[list[str], int]],
-                text: str) -> argparse.ArgumentParser:
+                text: str, operand: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, formatter_class=formatter)
         p.set_defaults(run=run)
         p.add_argument("--max-size", type=_max_size, default=3,
                        help=f"size bound for enumerations (0..{MAX_SIZE_LIMIT})")
         p.add_argument("--seed", type=_seed, default=0,
                        help="seed for the sampled law cases above the exhaustive sizes")
+        if operand is not None:
+            p.add_argument("input", help=operand)
+        operands[name] = () if operand is None else ("input",)
         return p
 
     command("check-axioms", _cmd_check_axioms, "run the named law suite")
@@ -284,37 +305,49 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
             ("kernel", _cmd_kernel, "kernel of a morphism file"),
             ("cokernel", _cmd_cokernel, "cokernel of a morphism file"),
             ("factorize", _cmd_factorize, "mono-epi factorization of a morphism file")):
-        command(name, run, text).add_argument("input", help="morphism file")
+        command(name, run, text, "morphism file")
     for name in ("noether1", "noether2"):
         p = command(name, _cmd_noether, f"check the {name} quotient identity")
         p.add_argument("--x", type=_token_set, default=FinSet(), help="ambient set tokens")
         p.add_argument("--x1", type=_token_set, default=FinSet(), help="first subset tokens")
         p.add_argument("--x2", type=_token_set, default=FinSet(), help="second subset tokens")
-    command("grid33", _cmd_grid33, "complete the bottom row of a grid file").add_argument(
-        "input", help="grid file")
-    command("wagner-preston", _cmd_wagner_preston, "embed a Cayley-table semigroup").add_argument(
-        "input", help="Cayley table file")
-    return parser, sub.choices
+    command("grid33", _cmd_grid33, "complete the bottom row of a grid file", "grid file")
+    command("wagner-preston", _cmd_wagner_preston, "embed a Cayley-table semigroup",
+            "Cayley table file")
+    option_free = {name: (sub.choices[name].parse_args(names), names)
+                   for name, names in operands.items()}
+    return parser, sub.choices, option_free
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Answer one request; returns the exit code.
 
-    An argv that starts with a command name is parsed once, by that
-    command's own parser; arguments it leaves over are refused by the
-    top-level parser in the words ``parse_args`` uses.  Any other argv goes
-    through the top-level parser, which prints its usage or help and exits.
+    An argv that starts with a command name, gives exactly that command's
+    operands and has no later token starting with ``-`` is one that
+    argparse reads as operands alone.  It is answered from a copy of the
+    command's option-free namespace (see ``_parsers``) with the operands
+    filled in, and argparse does not run.  Any other argv that starts with
+    a command name is parsed once, by that command's own parser; arguments
+    it leaves over are refused by the top-level parser in the words
+    ``parse_args`` uses.  Any other argv goes through the top-level parser,
+    which prints its usage or help and exits.
     """
-    parser, commands = _parsers()
+    parser, commands, option_free = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
+    name = argv[0] if argv else None
+    operands = argv[1:]
+    template, names = option_free.get(name, (None, ()))
+    if (template is not None and len(operands) == len(names)
+            and not any(operand.startswith("-") for operand in operands)):
+        args = argparse.Namespace(**vars(template))
+        vars(args).update(zip(names, operands), command=name)
+    elif (command := commands.get(name)) is None:
         args = parser.parse_args(argv)
     else:
-        args, extra = command.parse_known_args(argv[1:])
+        args, extra = command.parse_known_args(operands)
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        args.command = argv[0]
+        args.command = name
     try:
         body, code = args.run(args)
     except ParseError as exc:

@@ -1324,8 +1324,8 @@ def test_the_parser_is_built_once_and_reuse_changes_no_output(capsys, tmp_path):
     assert cli._parsers()[0] is cli._parsers()[0]
 
 
-# argvs whose parse main must leave unchanged; "{path}" stands for a morphism
-# file
+# argvs whose parse main must leave unchanged; "{path}" stands for an input
+# file of the command's kind
 SINGLE_PARSE_CORPUS = {
     "no-arguments": [],
     "help": ["-h"],
@@ -1350,16 +1350,40 @@ SINGLE_PARSE_CORPUS = {
     "noether1-equals": ["noether1", "--x=a b c", "--x1=a", "--x2=a b"],
     "noether2-options": ["noether2", "--x", "a b c", "--x2", "b c", "--x1", "a b"],
 }
+FILE_COMMANDS = ("kernel", "cokernel", "factorize", "grid33", "wagner-preston")
+OTHER_COMMANDS = ("check-axioms", "enumerate", "noether1", "noether2")
+# option-free argvs with the command's operand count, which main answers
+# without argparse; every operand but "" names a file in the working directory
+SINGLE_PARSE_CORPUS.update(
+    {f"{command}-operand-{kind}": [command, operand] for command in FILE_COMMANDS
+     for kind, operand in (("file", "{path}"), ("empty", ""), ("space", "a b"), ("at", "@x"),
+                           ("plus", "+x"), ("equals", "x=1"), ("space-dash", " -x"),
+                           ("non-ascii", "é"))})
+SINGLE_PARSE_CORPUS.update({f"{command}-bare": [command] for command in OTHER_COMMANDS})
+# option-free argvs that still reach argparse: a "-" operand, or a wrong count
+for command in FILE_COMMANDS + OTHER_COMMANDS:
+    SINGLE_PARSE_CORPUS[f"{command}-operand-dash"] = [command, "-"]
+    SINGLE_PARSE_CORPUS[f"{command}-two-operands"] = [command, "{path}", "{path}"]
+for command in FILE_COMMANDS:
+    SINGLE_PARSE_CORPUS[f"{command}-no-operand"] = [command]
+for command in OTHER_COMMANDS:
+    SINGLE_PARSE_CORPUS[f"{command}-one-operand"] = [command, "{path}"]
 # the arguments of a corpus case that no parser accepts
 UNRECOGNIZED = {"extra": "extra", "two-extras": "extra --more", "unknown-option-extra": "--bogus"}
+# what a file command reads
+INPUT_TEXTS = {**dict.fromkeys(("kernel", "cokernel", "factorize"), serialize_pbij(
+    PBij(fin("1 2 3"), fin("a b"), [("1", "b")]), "f")), **LINE_END_FILES}
 
 
 @pytest.mark.parametrize("case", list(SINGLE_PARSE_CORPUS))
 def test_a_request_is_parsed_once_as_the_top_level_parser_would(capsys, monkeypatch,
                                                                 tmp_path, case):
-    path = tmp_path / "f.pbij"
-    path.write_text(serialize_pbij(PBij(fin("1 2 3"), fin("a b"), [("1", "b")]), "f"))
+    path = tmp_path / "f.in"
     argv = [arg.format(path=path) for arg in SINGLE_PARSE_CORPUS[case]]
+    text = INPUT_TEXTS.get(argv[0] if argv else None, INPUT_TEXTS["kernel"])
+    for arg in {str(path), *argv[1:]} - {""}:
+        (tmp_path / arg).write_text(text)
+    monkeypatch.chdir(tmp_path)
 
     def outcome(parse):
         try:
@@ -1370,13 +1394,22 @@ def test_a_request_is_parsed_once_as_the_top_level_parser_would(capsys, monkeypa
         return result, code, captured.out, captured.err
 
     dispatched, parsed_by = [], []
-    header, parse_known_args = cli._header, argparse.ArgumentParser.parse_known_args
+    parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def counted(parser, *args, **kwargs):
         parsed_by.append(parser.prog)
         return parse_known_args(parser, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_header", lambda args: dispatched.append(args) or header(args))
+    def recorded(step):
+        # a namespace is dispatched once, whether its input is read or not
+        def record(args):
+            if not dispatched or dispatched[-1] is not args:
+                dispatched.append(args)
+            return step(args)
+        return record
+
+    monkeypatch.setattr(cli, "_read_input", recorded(cli._read_input))
+    monkeypatch.setattr(cli, "_header", recorded(cli._header))
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     code, exit_code, out, err = outcome(lambda: main(argv))
     monkeypatch.undo()
@@ -1384,13 +1417,16 @@ def test_a_request_is_parsed_once_as_the_top_level_parser_would(capsys, monkeypa
         lambda: cli._parsers()[0].parse_args(argv))
     if expected_exit is None:
         assert exit_code is None and dispatched == [expected]
-        assert code in (0, 1) and err == ""
+        assert code in (0, 1) and err == "" or (code, out, err) == (
+            2, "", "pbcat: cannot read input: [Errno 2] No such file or directory: ''\n")
     else:
         assert (exit_code, out, err) == (expected_exit, expected_out, expected_err)
         assert dispatched == []
     if argv and argv[0] in cli._parsers()[1]:
-        # one parse, by the command's own parser
-        assert parsed_by == [f"pbcat {argv[0]}"]
+        option_free = (len(argv) - 1 == (argv[0] in FILE_COMMANDS)
+                       and not any(arg.startswith("-") for arg in argv[1:]))
+        # no parse for an option-free argv, else one, by the command's own parser
+        assert parsed_by == ([] if option_free else [f"pbcat {argv[0]}"])
     if case in UNRECOGNIZED:
         assert exit_code == 2 and err.startswith("usage: pbcat [-h]")
         assert err.endswith(f"\npbcat: error: unrecognized arguments: {UNRECOGNIZED[case]}\n")
