@@ -1364,15 +1364,14 @@ SINGLE_PARSE_CORPUS.update({f"{command}-bare": [command] for command in OTHER_CO
 for command in FILE_COMMANDS + OTHER_COMMANDS:
     SINGLE_PARSE_CORPUS[f"{command}-operand-dash"] = [command, "-"]
     SINGLE_PARSE_CORPUS[f"{command}-two-operands"] = [command, "{path}", "{path}"]
-for command in FILE_COMMANDS:
+for command in FILE_COMMANDS[1:]:  # kernel's is "missing-input"
     SINGLE_PARSE_CORPUS[f"{command}-no-operand"] = [command]
 for command in OTHER_COMMANDS:
     SINGLE_PARSE_CORPUS[f"{command}-one-operand"] = [command, "{path}"]
 # the arguments of a corpus case that no parser accepts
 UNRECOGNIZED = {"extra": "extra", "two-extras": "extra --more", "unknown-option-extra": "--bogus"}
-# what a file command reads
-INPUT_TEXTS = {**dict.fromkeys(("kernel", "cokernel", "factorize"), serialize_pbij(
-    PBij(fin("1 2 3"), fin("a b"), [("1", "b")]), "f")), **LINE_END_FILES}
+# what each file command reads
+INPUT_TEXTS = {**dict.fromkeys(FILE_COMMANDS, LINE_END_FILES["kernel"]), **LINE_END_FILES}
 
 
 @pytest.mark.parametrize("case", list(SINGLE_PARSE_CORPUS))
