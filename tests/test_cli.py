@@ -79,6 +79,34 @@ def test_bad_option_values_are_usage_errors(capsys, argv, last):
     assert err.splitlines()[-1] == f"pbcat {argv[0]}: error: {last}"
 
 
+GRID_WITH_DUPLICATE = serialize_grid(build_noether_grid(fin("a b c"), fin("a"), fin("a b"))).replace(
+    "object 2 2 = a b c\n", "object 2 2 = a b c b\n")
+
+
+@pytest.mark.parametrize("command, text, err", [
+    ("kernel", "pbij f : 1 2 1 -> a b\n",
+     "pbcat: parse error: line 1: duplicate element tokens in ('1', '2', '1')\n"),
+    ("cokernel", "\npbij f : 1 -> a b a\n1 -> a\n",
+     "pbcat: parse error: line 2: duplicate element tokens in ('a', 'b', 'a')\n"),
+    ("grid33", GRID_WITH_DUPLICATE,
+     "pbcat: parse error: line 5: duplicate element tokens in ('a', 'b', 'c', 'b')\n"),
+], ids=["pbij-source", "pbij-target", "grid-object"])
+def test_a_duplicate_token_in_a_file_is_a_parse_error(capsys, tmp_path, command, text, err):
+    path = tmp_path / "in.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, command, str(path)) == (2, "", err)
+
+
+def test_a_duplicate_token_in_an_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["noether2", "--x", "a b", "--x1", "b", "--x2", "b b"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", (
+        "usage: pbcat noether2 [-h] [--max-size MAX_SIZE] [--seed SEED] [--x X]\n"
+        "                      [--x1 X1] [--x2 X2]\n"
+        "pbcat noether2: error: argument --x2: duplicate element tokens in ('b', 'b')\n"))
+
+
 @pytest.mark.parametrize("argv, code", [
     (("enumerate", "--max-size", "7"), 2),
     (("noether1", "--x", "a a", "--x1", "a", "--x2", "a"), 2),
