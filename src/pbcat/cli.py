@@ -20,6 +20,7 @@ from .core import (
     InternalContradictionError,
     InvalidSubsetError,
     PBij,
+    _split_set,
     compose,
     enumerate_pbij,
     identity,
@@ -68,7 +69,7 @@ def _seed(text: str) -> int:
 def _token_set(text: str) -> FinSet:
     """The set an option names; its tokens must print back unambiguously."""
     try:
-        return FinSet(_check_elements(text.split()))
+        return _split_set(_check_elements(text.split()))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -250,22 +251,33 @@ def _cmd_wagner_preston(args: argparse.Namespace) -> tuple[list[str], int]:
     return lines, 0
 
 
+# what main reads an argv of one command from: the namespace argparse gives
+# for the command's operands alone, the operands' names, and each spelling
+# of each option that takes one value, mapped to its argparse Action
+_Table = tuple[argparse.Namespace, tuple[str, ...], dict[str, argparse.Action]]
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
-                        dict[str, tuple[argparse.Namespace, tuple[str, ...]]]]:
-    """The one parser of this process, its table of commands, and each
-    command's option-free namespace, built on the first ``main`` call.
+                        dict[str, _Table]]:
+    """The one parser of this process, its table of commands, and the table
+    ``main`` reads each command's argvs from, built on the first ``main``
+    call.
 
-    The table is the ``choices`` of the subparsers action: each command's
-    own parser, which binds its handler as ``run`` and checks its option
-    values as argparse reads them.  ``main`` hands it the rest of an argv
-    that starts with its name, so such a request is parsed once.
+    The table of commands is the ``choices`` of the subparsers action: each
+    command's own parser, which binds its handler as ``run`` and checks its
+    option values as argparse reads them.  ``main`` hands it the rest of an
+    argv that starts with its name, so such a request is parsed once.
 
-    The option-free namespaces map each command to the namespace its own
-    parser returns for an argv of operands alone, and the names of those
-    operands: ``input`` for a file command, none for the others.  Each
-    operand's name stands in for its value, so every option holds the value
-    argparse gives it when the argv names none.
+    Each command's argv table is built from argparse's own declarations.
+    Its namespace is the one the command's parser returns for an argv of
+    operands alone, with each operand's name standing in for its value, so
+    every option holds the value argparse gives it when the argv names
+    none.  Its operands are ``input`` for a file command and none for the
+    others.  Its options are the Actions that the command's ``add_argument``
+    calls returned, for each option that takes exactly one value, under
+    each of its option strings; ``main`` reads only their ``dest`` and
+    ``type``.  So no default, type or spelling is written down twice.
 
     Building it costs more than answering a typical file request.  argparse
     returns a fresh Namespace per parse and looks up ``sys.stdout`` and
@@ -284,69 +296,104 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     operands: dict[str, tuple[str, ...]] = {}
+    options: dict[str, dict[str, argparse.Action]] = {}
+
+    def option(name: str, *flags: str, **kwargs) -> None:
+        action = sub.choices[name].add_argument(*flags, **kwargs)
+        if action.nargs is None:  # one value, not a flag
+            options[name].update(dict.fromkeys(action.option_strings, action))
 
     def command(name: str, run: Callable[[argparse.Namespace], tuple[list[str], int]],
-                text: str, operand: str | None = None) -> argparse.ArgumentParser:
+                text: str, operand: str | None = None) -> None:
         p = sub.add_parser(name, help=text, formatter_class=formatter)
         p.set_defaults(run=run)
-        p.add_argument("--max-size", type=_max_size, default=3,
-                       help=f"size bound for enumerations (0..{MAX_SIZE_LIMIT})")
-        p.add_argument("--seed", type=_seed, default=0,
-                       help="seed for the sampled law cases above the exhaustive sizes")
+        options[name] = {}
+        option(name, "--max-size", type=_max_size, default=3,
+               help=f"size bound for enumerations (0..{MAX_SIZE_LIMIT})")
+        option(name, "--seed", type=_seed, default=0,
+               help="seed for the sampled law cases above the exhaustive sizes")
         if operand is not None:
             p.add_argument("input", help=operand)
         operands[name] = () if operand is None else ("input",)
-        return p
 
     command("check-axioms", _cmd_check_axioms, "run the named law suite")
-    command("enumerate", _cmd_enumerate, "count I(n) and its idempotents").add_argument(
-        "--count-only", action="store_true", help="suppress the element listings")
+    command("enumerate", _cmd_enumerate, "count I(n) and its idempotents")
+    option("enumerate", "--count-only", action="store_true",
+           help="suppress the element listings")
     for name, run, text in (
             ("kernel", _cmd_kernel, "kernel of a morphism file"),
             ("cokernel", _cmd_cokernel, "cokernel of a morphism file"),
             ("factorize", _cmd_factorize, "mono-epi factorization of a morphism file")):
         command(name, run, text, "morphism file")
     for name in ("noether1", "noether2"):
-        p = command(name, _cmd_noether, f"check the {name} quotient identity")
-        p.add_argument("--x", type=_token_set, default=FinSet(), help="ambient set tokens")
-        p.add_argument("--x1", type=_token_set, default=FinSet(), help="first subset tokens")
-        p.add_argument("--x2", type=_token_set, default=FinSet(), help="second subset tokens")
+        command(name, _cmd_noether, f"check the {name} quotient identity")
+        for flag, text in (("--x", "ambient set tokens"), ("--x1", "first subset tokens"),
+                           ("--x2", "second subset tokens")):
+            option(name, flag, type=_token_set, default=FinSet(), help=text)
     command("grid33", _cmd_grid33, "complete the bottom row of a grid file", "grid file")
     command("wagner-preston", _cmd_wagner_preston, "embed a Cayley-table semigroup",
             "Cayley table file")
-    option_free = {name: (sub.choices[name].parse_args(names), names)
-                   for name, names in operands.items()}
-    return parser, sub.choices, option_free
+    tables = {name: (sub.choices[name].parse_args(names), names, options[name])
+              for name, names in operands.items()}
+    return parser, sub.choices, tables
+
+
+def _read_table(table: _Table, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse returns for ``tokens``, the argv after a
+    command name, when they read as ``(--OPT VALUE)* OPERAND*`` from the
+    command's table; otherwise None.
+
+    Each ``--OPT`` must be spelled as declared and given at most once, and
+    be followed by a value that does not start with ``-``; each value must
+    pass its option's ``type``, which converts the values in argv order, as
+    argparse does.  Then come exactly the command's operands, none starting
+    with ``-``.  argparse reads every such token as the value or operand it
+    stands in, so the namespace is the table's with them filled in.
+    """
+    template, names, options = table
+    values: dict[str, object] = {}
+    i = 0
+    while i < len(tokens) and (action := options.get(tokens[i])) is not None:
+        if action.dest in values or i + 1 == len(tokens) or tokens[i + 1].startswith("-"):
+            return None
+        try:
+            values[action.dest] = action.type(tokens[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # as argparse catches
+            return None
+        i += 2
+    given = tokens[i:]
+    if len(given) != len(names) or any(token.startswith("-") for token in given):
+        return None
+    values.update(zip(names, given))
+    args = argparse.Namespace(**vars(template))
+    vars(args).update(values)
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Answer one request; returns the exit code.
 
-    An argv that starts with a command name, gives exactly that command's
-    operands and has no later token starting with ``-`` is one that
-    argparse reads as operands alone.  It is answered from a copy of the
-    command's option-free namespace (see ``_parsers``) with the operands
-    filled in, and argparse does not run.  Any other argv that starts with
-    a command name is parsed once, by that command's own parser; arguments
-    it leaves over are refused by the top-level parser in the words
-    ``parse_args`` uses.  Any other argv goes through the top-level parser,
-    which prints its usage or help and exits.
+    An argv that starts with a command name and reads from the command's
+    table (see ``_read_table``) is answered from the namespace read there,
+    and argparse does not run.  Any other argv that starts with a command
+    name is parsed once, by that command's own parser, which prints the
+    usage, help or error that ``parse_args`` would; arguments it leaves
+    over are refused by the top-level parser in the words ``parse_args``
+    uses.  Any other argv goes through the top-level parser, which prints
+    its usage or help and exits.
     """
-    parser, commands, option_free = _parsers()
+    parser, commands, tables = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv else None
-    operands = argv[1:]
-    template, names = option_free.get(name, (None, ()))
-    if (template is not None and len(operands) == len(names)
-            and not any(operand.startswith("-") for operand in operands)):
-        args = argparse.Namespace(**vars(template))
-        vars(args).update(zip(names, operands), command=name)
-    elif (command := commands.get(name)) is None:
+    table = tables.get(name)
+    if table is None:
         args = parser.parse_args(argv)
     else:
-        args, extra = command.parse_known_args(operands)
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _read_table(table, argv[1:])
+        if args is None:
+            args, extra = commands[name].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         args.command = name
     try:
         body, code = args.run(args)

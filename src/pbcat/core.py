@@ -109,6 +109,16 @@ def _trusted_set(elems: tuple[str, ...]) -> FinSet:
     return s
 
 
+def _split_set(tokens: Iterable[str]) -> FinSet:
+    """A FinSet over tokens that ``str.split()`` returned.  They are strings,
+    so of the constructor's checks only the duplicate check is kept, with
+    the constructor's message; the parsers build their objects here."""
+    s = _trusted_set(tuple(tokens))
+    if len(s._as_set) != len(s.elements):
+        raise ValueError(f"duplicate element tokens in {s.elements!r}")
+    return s
+
+
 class PBij:
     """A partial bijection between two finite sets.
 

@@ -20,7 +20,8 @@ serialize to an empty token list (reports elsewhere print them as ∅).
 The parsers walk the input's lines by index and split each line once.  A
 pair line is checked in place; a header or object line checks its element
 list through one join, and walks it token by token only when it fails, to
-name the first bad token.  The parsers collect a morphism's pairs and leave
+name the first bad token; of the set constructor's checks, only the
+duplicate check runs on it (``core._split_set``).  The parsers collect a morphism's pairs and leave
 the map's own checks to the :class:`PBij` constructor.  On the way out, an
 element list is checked the same way, through one join.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .core import FinSet, PBij
+from .core import FinSet, PBij, _split_set
 from .exact import Grid3x3
 from .monoid import CayleyTable, _trusted_table
 
@@ -178,8 +179,8 @@ def parse_pbij(text: str) -> tuple[str, PBij]:
         raise ParseError(lineno, "header needs exactly one '->' between the element lists")
     split = rest.index("->")
     try:
-        source = FinSet(_check_elements(rest[:split]))
-        target = FinSet(_check_elements(rest[split + 1:]))
+        source = _split_set(_check_elements(rest[:split]))
+        target = _split_set(_check_elements(rest[split + 1:]))
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
     read, pairs = _read_pairs(lines, lineno, ())
@@ -303,7 +304,7 @@ def parse_grid(text: str) -> Grid3x3:
             if cell in objects:
                 raise ParseError(i, f"object {tokens[1]},{tokens[2]} given twice")
             try:
-                objects[cell] = FinSet(_check_elements(tokens[4:]))
+                objects[cell] = _split_set(_check_elements(tokens[4:]))
             except ValueError as exc:
                 raise ParseError(i, str(exc)) from None
             continue

@@ -20,7 +20,7 @@ from pbcat.laws import law_names, run_all, run_law
 from pbcat.monoid import CayleyTable
 from pbcat.textio import parse_pbij, serialize_cayley, serialize_grid, serialize_pbij
 
-from helpers import fin, i_of_n_table, pbij_count, universe
+from helpers import fin, i_of_n_table, pbij_count, table_shaped, universe
 
 
 def run_cli(capsys, *argv):
@@ -79,8 +79,9 @@ def test_bad_option_values_are_usage_errors(capsys, argv, last):
     assert err.splitlines()[-1] == f"pbcat {argv[0]}: error: {last}"
 
 
-GRID_WITH_DUPLICATE = serialize_grid(build_noether_grid(fin("a b c"), fin("a"), fin("a b"))).replace(
-    "object 2 2 = a b c\n", "object 2 2 = a b c b\n")
+GRID_WITH_DUPLICATE = serialize_grid(
+    build_noether_grid(fin("a b c"), fin("a"), fin("a b"))).replace(
+        "object 2 2 = a b c\n", "object 2 2 = a b c b\n")
 
 
 @pytest.mark.parametrize("command, text, err", [
@@ -1396,6 +1397,52 @@ for command in FILE_COMMANDS[1:]:  # kernel's is "missing-input"
     SINGLE_PARSE_CORPUS[f"{command}-no-operand"] = [command]
 for command in OTHER_COMMANDS:
     SINGLE_PARSE_CORPUS[f"{command}-one-operand"] = [command, "{path}"]
+# exact options in every order; main reads these from its table
+for command in ("check-axioms", "enumerate", "kernel"):
+    for order, options in (("size-seed", ["--max-size", "1", "--seed", "5"]),
+                           ("seed-size", ["--seed", "5", "--max-size", "1"])):
+        operands = ["{path}"] if command == "kernel" else []
+        SINGLE_PARSE_CORPUS[f"{command}-{order}"] = [command, *options, *operands]
+SINGLE_PARSE_CORPUS["kernel-seed"] = ["kernel", "--seed", "7", "{path}"]
+NOETHER_SETS = {"noether1": {"--x": "a b c d", "--x1": "a", "--x2": "a b"},
+                "noether2": {"--x": "a b c", "--x1": "a b", "--x2": "b c"}}
+for command, sets in NOETHER_SETS.items():
+    for order in itertools.permutations(sets):
+        SINGLE_PARSE_CORPUS[f"{command}-{'-'.join(o[2:] for o in order)}"] = [
+            command, *itertools.chain.from_iterable((o, sets[o]) for o in order)]
+    SINGLE_PARSE_CORPUS[f"{command}-all-options"] = [
+        command, "--x2", sets["--x2"], "--seed", "3", "--x", sets["--x"], "--max-size", "0",
+        "--x1", sets["--x1"]]
+SINGLE_PARSE_CORPUS.update({
+    # read by argparse: a repeated option, an abbreviation, the --x=a form
+    "noether1-repeated": ["noether1", "--x", "a b", "--x", "a b c", "--x2", "a"],
+    "kernel-repeated-seed": ["kernel", "--seed", "1", "--seed", "2", "{path}"],
+    "noether2-abbreviated": ["noether2", "--max", "6", "--x", "a"],
+    "check-axioms-abbreviated": ["check-axioms", "--max", "6", "--seed", "1"],
+    "noether1-x-equals": ["noether1", "--x=a", "--x2", "a"],
+    # the default --x with the other two given
+    "noether1-no-x": ["noether1", "--x1", "", "--x2", ""],
+    "noether2-no-x": ["noether2", "--x2", "", "--x1", ""],
+    # values: empty, with a space, or starting with "-"
+    "noether1-empty-values": ["noether1", "--x", "", "--x1", "", "--x2", ""],
+    "noether2-spaced-value": ["noether2", "--x", "a b", "--x2", "a b"],
+    "noether1-dash-value": ["noether1", "--x", "-a"],
+    "noether1-dash-spaced-value": ["noether1", "--x", "-a b"],
+    "noether2-negative-value": ["noether2", "--x", "-1", "--x2", "-1"],
+    "kernel-empty-seed": ["kernel", "--seed", "", "{path}"],
+    # values that their type rejects
+    "enumerate-max-size-7": ["enumerate", "--max-size", "7"],
+    "check-axioms-seed-negative": ["check-axioms", "--seed", "-1"],
+    "noether1-duplicate-value": ["noether1", "--x", "a a"],
+    "noether2-colon-value": ["noether2", "--x", "a:b"],
+    "noether1-bad-second-value": ["noether1", "--x", "a", "--x1", "a:b", "--x2", "b b"],
+    # flags, help, and an operand before an option
+    "enumerate-count-only": ["enumerate", "--max-size", "2", "--count-only"],
+    "enumerate-count-only-first": ["enumerate", "--count-only", "--max-size", "1"],
+    "noether1-help": ["noether1", "--x", "a", "--help"],
+    "kernel-operand-first": ["kernel", "{path}", "--seed", "1"],
+    "check-axioms-value-after-operand": ["check-axioms", "--seed", "1", "2"],
+})
 # the arguments of a corpus case that no parser accepts
 UNRECOGNIZED = {"extra": "extra", "two-extras": "extra --more", "unknown-option-extra": "--bogus"}
 # what each file command reads
@@ -1450,10 +1497,10 @@ def test_a_request_is_parsed_once_as_the_top_level_parser_would(capsys, monkeypa
         assert (exit_code, out, err) == (expected_exit, expected_out, expected_err)
         assert dispatched == []
     if argv and argv[0] in cli._parsers()[1]:
-        option_free = (len(argv) - 1 == (argv[0] in FILE_COMMANDS)
-                       and not any(arg.startswith("-") for arg in argv[1:]))
-        # no parse for an option-free argv, else one, by the command's own parser
-        assert parsed_by == ([] if option_free else [f"pbcat {argv[0]}"])
+        # no parse for an argv that main reads from its table (one whose
+        # shape fits and whose values pass), else one, by the command's own parser
+        from_table = table_shaped(argv) and expected_exit is None
+        assert parsed_by == ([] if from_table else [f"pbcat {argv[0]}"])
     if case in UNRECOGNIZED:
         assert exit_code == 2 and err.startswith("usage: pbcat [-h]")
         assert err.endswith(f"\npbcat: error: unrecognized arguments: {UNRECOGNIZED[case]}\n")

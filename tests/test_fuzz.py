@@ -8,20 +8,25 @@ then fail the mathematics.  Every mutant goes through ``cli.main``, which
 must return 0, 1 or 2 and raise nothing.  A second seeded set of morphism
 and grid mutants goes straight to the parsers, and the outcome of each, its
 error line and message or its re-serialized value, is pinned by a digest.
+A third seeded set of argvs, built from the command names and option
+strings, goes through ``cli.main`` and through ``parse_args``, and the two
+must agree.
 """
 
+import argparse
 import hashlib
 import random
 import re
 
 import pytest
 
+from pbcat import cli
 from pbcat.cli import main
 from pbcat.core import PBij
 from pbcat.exact import build_noether_grid
 from pbcat.textio import ParseError, parse_grid, parse_pbij, serialize_grid, serialize_pbij
 
-from helpers import fin, universe
+from helpers import OPERAND_COUNTS, VALUE_OPTIONS, fin, table_shaped, universe
 
 SEED = 20_090_601
 ROUNDS = 150
@@ -169,3 +174,111 @@ def test_mutated_morphism_and_grid_texts_parse_or_fail_as_before():
     # the parsers gave them before their line walks were rewritten
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "94e5d4d1d44447d1c4ff08fb7aa9a0483d5dbefeedc61aa0464c5fe88049bb71"
+
+
+ARGV_SEED = 20_261_022
+ARGV_COUNT = 2_000
+SETS = ("", "a", "b", "a b", "a b c", " b ")
+BAD_SETS = ("a a", "a:b", "->", "a -> b", "-a", "-a b", "-1")
+# the values an argv gives each option, and values that main leaves to
+# argparse: ones that start with "-" and ones that the option's type rejects
+VALUES = {"--max-size": ("0", "1", "6", " 2"), "--seed": ("0", "3", "18446744073709551615"),
+          "--x": SETS, "--x1": SETS, "--x2": SETS}
+BAD_VALUES = {"--max-size": ("7", "-1", "x", ""), "--seed": ("-1", "18446744073709551616", "1e3"),
+              "--x": BAD_SETS, "--x1": BAD_SETS, "--x2": BAD_SETS}
+FLAGS = ("--count-only", "-h", "--help")
+OPERANDS = ("f.pbij", "", "-", "a b", "-x", "x:y", "->")
+# tokens a mutation inserts: every option string, its prefixes, its --opt=v
+# form, and the values
+EXTRA_TOKENS = sorted({*VALUES, *FLAGS,
+                       *(o[:k] for o in (*VALUES, *FLAGS) for k in range(2, len(o))),
+                       *(f"{o}={v}" for o, vs in VALUES.items() for v in vs[:2]),
+                       *SETS, *BAD_SETS, *OPERANDS, "--", "--bogus", "bogus", "kernel"})
+
+
+def fuzz_argv(rng):
+    """A command and some of its options, one in eight times with one of
+    them twice, each with a value (one in six bad), in a random order, then
+    its operands; then up to two tokens inserted, deleted or replaced after
+    the command."""
+    command = rng.choice([*OPERAND_COUNTS, "bogus"] if rng.randrange(40) else ["--seed", "-h"])
+    options = [o for o in VALUE_OPTIONS.get(command, ()) if rng.randrange(2)]
+    if options and rng.randrange(8) == 0:
+        options.append(rng.choice(options))
+    rng.shuffle(options)
+    argv = [command]
+    for option in options:
+        argv += [option, rng.choice((BAD_VALUES if rng.randrange(6) == 0 else VALUES)[option])]
+    argv += [rng.choice(OPERANDS) for _ in range(OPERAND_COUNTS.get(command, 0))]
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        i = rng.randrange(1, len(argv) + 1)
+        how = rng.randrange(3)
+        if how == 0 or i == len(argv):
+            argv.insert(i, rng.choice(EXTRA_TOKENS))
+        else:
+            argv[i:i + 1] = [rng.choice(EXTRA_TOKENS)] if how == 1 else []
+    return argv
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The namespaces main dispatches.  Every command's handler records its
+    namespace and does nothing else, in parsers built for this test."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return [], 0
+
+    for name in vars(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, record)
+    cli._parsers.cache_clear()
+    yield seen
+    cli._parsers.cache_clear()
+
+
+def test_fuzzed_argvs_get_what_parse_args_gives_and_skip_it_when_read_from_the_table(
+        capsys, monkeypatch, dispatched):
+    parser, commands, _ = cli._parsers()
+    parsed_by = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(p, *args, **kwargs):
+        parsed_by.append(p.prog)
+        return parse_known_args(p, *args, **kwargs)
+
+    def outcome(parse):
+        try:
+            result, code = parse(), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+        captured = capsys.readouterr()
+        return result, code, captured.out, captured.err
+
+    rng = random.Random(ARGV_SEED)
+    from_table = 0
+    for _ in range(ARGV_COUNT):
+        argv = fuzz_argv(rng)
+        dispatched.clear()
+        parsed_by.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+            code, exit_code, out, err = outcome(lambda: main(argv))
+        expected, expected_exit, expected_out, expected_err = outcome(
+            lambda: parser.parse_args(argv))
+        if expected_exit is None:
+            assert (code, exit_code, err) == (0, None, ""), argv
+            assert dispatched == [expected], argv
+        else:
+            assert (exit_code, out, err) == (expected_exit, expected_out, expected_err), argv
+            assert dispatched == [], argv
+        readable = table_shaped(argv) and expected_exit is None
+        from_table += readable
+        if argv[0] in commands:
+            # no parse for an argv read from the table, else one, by the command's parser
+            assert parsed_by == ([] if readable else [f"pbcat {argv[0]}"]), argv
+        else:
+            assert parsed_by[0] == "pbcat", argv
+    # a fair share of the argvs takes each path
+    assert ARGV_COUNT // 4 < from_table < ARGV_COUNT * 3 // 4
