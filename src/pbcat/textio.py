@@ -21,9 +21,10 @@ The parsers walk the input's lines by index and split each line once.  A
 pair line is checked in place; a header or object line checks its element
 list through one join, and walks it token by token only when it fails, to
 name the first bad token; of the set constructor's checks, only the
-duplicate check runs on it (``core._split_set``).  The parsers collect a morphism's pairs and leave
-the map's own checks to the :class:`PBij` constructor.  On the way out, an
-element list is checked the same way, through one join.
+duplicate check runs on it (``core._split_set``).  The parsers collect a
+morphism's pairs and leave the map's own checks to the :class:`PBij`
+constructor.  On the way out, an element list is checked the same way,
+through one join.
 
 parse(serialize(x)) returns a value equal to x for all three formats.
 """
