@@ -149,6 +149,31 @@ def test_grid_round_trip_with_bottom_row():
     back.validate()
 
 
+def _blocks(text):
+    """A serialized grid's object lines, as one block, and its arrow blocks."""
+    head, *arrows = text.rstrip("\n").split("\n\n")
+    return head, arrows
+
+
+def _reversed_blocks(text):
+    head, arrows = _blocks(text)
+    return "\n\n".join([head, *reversed(arrows)]) + "\n\n"
+
+
+def _no_blank_lines(text):
+    head, arrows = _blocks(text)
+    return "\n".join([head, *arrows]) + "\n"
+
+
+def _doubled_blank_lines_and_trailing_spaces(text):
+    head, arrows = _blocks(text)
+    return "\n\n\n".join(b.replace("\n", "  \n") + "  " for b in (head, *arrows)) + "\n\n"
+
+
+# layouts of a serialized grid that must read as the same grid
+LAYOUTS = (str, _reversed_blocks, _no_blank_lines, _doubled_blank_lines_and_trailing_spaces)
+
+
 def test_every_small_pair_grid_round_trips_before_and_after_completion():
     grids = 0
     for n in range(4):
@@ -158,7 +183,9 @@ def test_every_small_pair_grid_round_trips_before_and_after_completion():
                 grid = pair_grid(X, A, B)
                 completed = grid.with_bottom_row(*complete_3x3(grid))
                 for g in (grid, completed):
-                    assert parse_grid(serialize_grid(g)) == g
+                    text = serialize_grid(g)
+                    for layout in LAYOUTS:
+                        assert parse_grid(layout(text)) == g, layout.__name__
                 grids += 1
     assert grids == 1 + 4 + 16 + 64
 
@@ -186,22 +213,74 @@ def test_parse_grid_accepts_arrow_blocks_in_any_order():
     assert parse_grid(reordered) == grid_fixture()
 
 
-@pytest.mark.parametrize("mangle, fragment", [
-    (lambda t: t.replace("object 1 1", "object 1 9"), "indices must be"),
-    (lambda t: t.replace("object 1 1", "object 1 2", 1), "given twice"),
-    (lambda t: t.replace("arrow (1,1)->(1,2):", "arrow (1,1)->(2,2):"), "one cell"),
-    (lambda t: t.replace("arrow (1,1)->(1,2):", "arrow (1,1)->(1,2)"), "expected 'arrow"),
-    (lambda t: t + "arrow (1,1)->(1,2):\n\n", "given twice"),
-    (lambda t: t.replace("arrow (1,2)->(1,3):\n\n", ""),
-     "missing arrow (1,2)->(1,3)"),
-    (lambda t: "object 1 1 =\n", "expected nine"),
-    (lambda t: t.replace("2 -> 2\n3 -> 3", "2 -> 2\n9 -> 3"), "not in the source"),
-])
-def test_parse_grid_errors(mangle, fragment):
-    import re
+# (name, mangle, line, message): the fixture's text, mangled, fails at that
+# line with that message.  A row's test id is "<lambda>-" and its name, the
+# id pytest made for the first eight rows from their lambda and a fragment.
+GRID_ERRORS = [
+    ("indices must be", lambda t: t.replace("object 1 1", "object 1 9"),
+     1, "object row/column indices must be 1, 2, or 3"),
+    ("given twice", lambda t: t.replace("object 1 1", "object 1 2", 1),
+     2, "object 1,2 given twice"),
+    ("one cell", lambda t: t.replace("arrow (1,1)->(1,2):", "arrow (1,1)->(2,2):"),
+     11, "arrows must step one cell right or one cell down"),
+    ("expected 'arrow", lambda t: t.replace("arrow (1,1)->(1,2):", "arrow (1,1)->(1,2)"),
+     11, "expected 'arrow (r,c)->(r,c):', got 'arrow (1,1)->(1,2)'"),
+    ("given twice", lambda t: t + "arrow (1,1)->(1,2):\n\n",
+     44, "arrow (1,1)->(1,2) given twice"),
+    ("missing arrow (1,2)->(1,3)", lambda t: t.replace("arrow (1,2)->(1,3):\n\n", ""),
+     41, "missing arrow (1,2)->(1,3)"),
+    ("expected nine", lambda t: "object 1 1 =\n",
+     1, "expected nine 'object ROW COL = ...' lines"),
+    ("not in the source", lambda t: t.replace("2 -> 2\n3 -> 3", "2 -> 2\n9 -> 3"),
+     37, "'9' is not in the source set"),
+    # a cell outside the grid, on either side of the arrow
+    ("cell (0,1)", lambda t: t.replace("arrow (1,1)->(1,2):", "arrow (0,1)->(1,2):"),
+     11, "expected a cell like (1,2), got '(0,1)'"),
+    ("cell (1,4)", lambda t: t.replace("arrow (1,2)->(1,3):", "arrow (1,3)->(1,4):"),
+     14, "expected a cell like (1,2), got '(1,4)'"),
+    ("trailing token", lambda t: t.replace("arrow (1,1)->(1,2):", "arrow (1,1)->(1,2): 1"),
+     11, "expected 'arrow (r,c)->(r,c):', got 'arrow (1,1)->(1,2): 1'"),
+    ("doubled colon", lambda t: t.replace("arrow (1,1)->(1,2):", "arrow (1,1)->(1,2)::"),
+     11, "expected a cell like (1,2), got '(1,2):'"),
+    ("object without =", lambda t: t.replace("object 2 2 = ", "object 2 2 "),
+     5, "expected 'object ROW COL = ...', got 'object 2 2 1 2 3 4'"),
+    # a line that starts with "object" ends an arrow block, like a header
+    ("object after arrows",
+     lambda t: t.replace("1 -> 1\n\narrow (1,2)", "1 -> 1\nobject 1 1 = 1\n\narrow (1,2)"),
+     13, "expected 'arrow (r,c)->(r,c):', got 'object 1 1 = 1'"),
+    ("arrow before ninth object", lambda t: t.replace("object 3 3 = 3 4\n", ""),
+     10, "expected 'object ROW COL = ...', got 'arrow (1,1)->(1,2):'"),
+    # str.split() separates tokens at any whitespace, so these reach the
+    # same checks as a space-separated header
+    ("tab in arrow header", lambda t: t.replace("arrow (1,1)->(1,2):", "arrow\t(1,1)->(1,2)"),
+     11, "expected 'arrow (r,c)->(r,c):', got 'arrow\\t(1,1)->(1,2)'"),
+    ("vertical tab in object line",
+     lambda t: t.replace("object 1 1 = 1", "object\v1\v9\v=\v1"),
+     1, "object row/column indices must be 1, 2, or 3"),
+    ("form feed in arrow header",
+     lambda t: t.replace("arrow (1,1)->(1,2):", "arrow\f(1,1)->(2,2):"),
+     11, "arrows must step one cell right or one cell down"),
+    ("tab-separated repeat", lambda t: t + "arrow\t(2,1)->(2,2):\n",
+     44, "arrow (2,1)->(2,2) given twice"),
+]
+
+
+@pytest.mark.parametrize("mangle, line, message", [
+    pytest.param(mangle, line, message, id=f"<lambda>-{name}")
+    for name, mangle, line, message in GRID_ERRORS])
+def test_parse_grid_errors(mangle, line, message):
     text = mangle(serialize_grid(grid_fixture()))
-    with pytest.raises(ParseError, match=re.escape(fragment)):
+    with pytest.raises(ParseError) as err:
         parse_grid(text)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_parse_grid_reads_headers_split_by_any_whitespace():
+    text = serialize_grid(grid_fixture())
+    for sep in ("\t", "\v", "\f", " \t "):
+        spaced = re.sub(r"^(object|arrow) ", rf"\1{sep}", text, flags=re.M)
+        assert spaced != text
+        assert parse_grid(spaced.replace(" = ", f"{sep}={sep}")) == grid_fixture()
 
 
 def test_parse_grid_names_the_line_of_the_pair_that_breaks_an_arrow():
