@@ -18,13 +18,18 @@ refuse such tokens, parsers report them with a line number.  Empty sets
 serialize to an empty token list (reports elsewhere print them as ∅).
 
 The parsers walk the input's lines by index and split each line once.  A
-pair line is checked in place; a header or object line checks its element
+pair line is tested in place; a header or object line checks its element
 list through one join, and walks it token by token only when it fails, to
 name the first bad token; of the set constructor's checks, only the
-duplicate check runs on it (``core._split_set``).  The parsers collect a
-morphism's pairs and leave the map's own checks to the :class:`PBij`
-constructor.  On the way out, an element list is checked the same way,
-through one join.
+duplicate check runs on it (``core._split_set``).  A grid's object line is
+found by one lookup of its first four tokens and an arrow header by one
+lookup of its cell token, among the twelve one-cell steps; an arrow's pair
+lines are read in the same loop.  Only a line that misses its lookup,
+repeats a cell or an arrow, or fails the pair test goes through the checks
+that say what is wrong with it, so a valid input pays only for its tokens.
+The parsers collect a morphism's pairs and leave the map's own checks to
+the :class:`PBij` constructor.  On the way out, an element list is checked
+the same way, through one join.
 
 parse(serialize(x)) returns a value equal to x for all three formats.
 """
@@ -127,27 +132,32 @@ def serialize_pbij(f: PBij, name: str = "f") -> str:
     return "\n".join([header, *map(" -> ".join, f.items()), "", ""])
 
 
-def _read_pairs(lines: list[str], i: int,
-                stop_keywords: Sequence[str]) -> tuple[int, list[tuple[str, str]]]:
-    """The `x -> y` pairs from ``lines[i]`` on, up to a blank line, a line
-    that starts with one of ``stop_keywords``, or the end; returns the index
-    of the line that ended them and the pairs.  A pair line has three
-    tokens, "->" in the middle, and neither side holds ":" or is "->"; only
-    a line that fails goes through the token check, which names its bad
-    side."""
+def _check_pair_line(line: str, tokens: list[str], lineno: int) -> None:
+    """The checks of one `x -> y` line: three tokens, "->" in the middle,
+    and neither side holds ":" or is "->".  The parsers test a pair line in
+    place and come here only when it fails, so the token check can name
+    its bad side."""
+    if len(tokens) != 3 or tokens[1] != "->":
+        raise ParseError(lineno, f"expected 'x -> y', got {line.strip()!r}")
+    x, _, y = tokens
+    if ":" in line or x == "->" or y == "->":
+        _parse_token(x, "element", lineno)
+        _parse_token(y, "element", lineno)
+
+
+def _read_pairs(lines: list[str], i: int) -> tuple[int, list[tuple[str, str]]]:
+    """The `x -> y` pairs from ``lines[i]`` on, up to a blank line or the
+    end; returns the index of the line that ended them and the pairs."""
     pairs: list[tuple[str, str]] = []
     for i in range(i, len(lines)):
         line = lines[i]
         tokens = line.split()
-        if not tokens or tokens[0] in stop_keywords:
+        if not tokens:
             return i, pairs
-        if len(tokens) != 3 or tokens[1] != "->":
-            raise ParseError(i + 1, f"expected 'x -> y', got {line.strip()!r}")
-        x, _, y = tokens
-        if ":" in line or x == "->" or y == "->":
-            _parse_token(x, "element", i + 1)
-            _parse_token(y, "element", i + 1)
-        pairs.append((x, y))
+        if (len(tokens) != 3 or tokens[1] != "->" or ":" in tokens[0] or ":" in tokens[2]
+                or tokens[0] == "->" or tokens[2] == "->"):
+            _check_pair_line(line, tokens, i + 1)
+        pairs.append((tokens[0], tokens[2]))
     return len(lines), pairs
 
 
@@ -184,7 +194,7 @@ def parse_pbij(text: str) -> tuple[str, PBij]:
         target = _split_set(_check_elements(rest[split + 1:]))
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
-    read, pairs = _read_pairs(lines, lineno, ())
+    read, pairs = _read_pairs(lines, lineno)
     f = _build_pbij(source, target, pairs, lineno)
     _expect_end(lines, read, "the morphism block")
     return name, f
@@ -279,69 +289,95 @@ def serialize_grid(grid: Grid3x3) -> str:
     return "\n".join(chunks) + "\n"
 
 
+# an object line's cell, as 0-based (row, column), keyed by its first four tokens
+_OBJECT_LINES = {("object", str(r + 1), str(c + 1), "="): (r, c)
+                 for r in range(3) for c in range(3)}
 # the cells an arrow header may name, as 0-based (row, column)
 _CELLS = {f"({r + 1},{c + 1})": (r, c) for r in range(3) for c in range(3)}
+# the one-cell steps in the order a grid holds its arrows: the row arrows
+# top to bottom, then the column arrows from row 1 and from row 2
+_GRID_STEPS = (*(((r, c), (r, c + 1)) for r in range(3) for c in range(2)),
+               *(((s, c), (s + 1, c)) for s in range(2) for c in range(3)))
+# each step's index in _GRID_STEPS, keyed by its header's cell token
+_STEPS = {_arrow_header(src, dst)[6:]: k for k, (src, dst) in enumerate(_GRID_STEPS)}
+
+
+def _check_object_line(line: str, tokens: list[str], lineno: int) -> None:
+    """Raise the error of an object line that missed ``_OBJECT_LINES`` or
+    names a cell already read, whichever check fails first."""
+    if tokens[0] != "object" or len(tokens) < 4 or tokens[3] != "=":
+        raise ParseError(lineno, f"expected 'object ROW COL = ...', got {line.strip()!r}")
+    if tokens[1] not in ("1", "2", "3") or tokens[2] not in ("1", "2", "3"):
+        raise ParseError(lineno, "object row/column indices must be 1, 2, or 3")
+    raise ParseError(lineno, f"object {tokens[1]},{tokens[2]} given twice")
+
+
+def _check_arrow_header(line: str, tokens: list[str], lineno: int) -> None:
+    """Raise the error of an arrow header that missed ``_STEPS`` or names
+    an arrow already read, whichever check fails first."""
+    endpoints = tokens[-1][:-1]
+    if (tokens[0] != "arrow" or len(tokens) != 2 or not tokens[1].endswith(":")
+            or "->" not in endpoints):
+        raise ParseError(lineno, f"expected 'arrow (r,c)->(r,c):', got {line.strip()!r}")
+    src_txt, dst_txt = endpoints.split("->", 1)
+    src, dst = _CELLS.get(src_txt), _CELLS.get(dst_txt)
+    if src is None or dst is None:
+        bad = src_txt if src is None else dst_txt
+        raise ParseError(lineno, f"expected a cell like (1,2), got {bad!r}")
+    horizontal = src[0] == dst[0] and dst[1] == src[1] + 1
+    vertical = src[1] == dst[1] and dst[0] == src[0] + 1
+    if not (horizontal or vertical):
+        raise ParseError(lineno, "arrows must step one cell right or one cell down")
+    raise ParseError(lineno, f"arrow {endpoints} given twice")
 
 
 def parse_grid(text: str) -> Grid3x3:
     """Parse a grid; arrows may come in any order, bottom row optional."""
     lines = _lines(text)
     end = len(lines)
+    rows = [line.split() for line in lines]
+    rows.append([])  # a blank line after the last ends the last arrow block
+    numbered = enumerate(rows, 1)
     objects: dict[tuple[int, int], FinSet] = {}
-    arrows: dict[tuple[tuple[int, int], tuple[int, int]], PBij] = {}
-    i = 0  # the number of lines read, so also the number of the last one
-    while i < end:
-        line = lines[i]
-        tokens = line.split()
-        i += 1
+    for lineno, tokens in numbered:
         if not tokens:
             continue
-        if len(objects) < 9:
-            if tokens[0] != "object" or len(tokens) < 4 or tokens[3] != "=":
-                raise ParseError(i, f"expected 'object ROW COL = ...', got {line.strip()!r}")
-            if tokens[1] not in ("1", "2", "3") or tokens[2] not in ("1", "2", "3"):
-                raise ParseError(i, "object row/column indices must be 1, 2, or 3")
-            cell = (int(tokens[1]) - 1, int(tokens[2]) - 1)
-            if cell in objects:
-                raise ParseError(i, f"object {tokens[1]},{tokens[2]} given twice")
-            try:
-                objects[cell] = _split_set(_check_elements(tokens[4:]))
-            except ValueError as exc:
-                raise ParseError(i, str(exc)) from None
+        cell = _OBJECT_LINES.get(tuple(tokens[:4]))
+        if cell is None or cell in objects:
+            _check_object_line(lines[lineno - 1], tokens, lineno)
+        try:
+            objects[cell] = _split_set(_check_elements(tokens[4:]))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if len(objects) == 9:
+            break
+    arrows: list[PBij | None] = [None] * len(_GRID_STEPS)
+    step = None  # the index of the arrow whose pairs are being read
+    for lineno, tokens in numbered:
+        if step is not None:
+            if tokens and tokens[0] not in ("arrow", "object"):
+                if (len(tokens) != 3 or tokens[1] != "->" or ":" in tokens[0] or ":" in tokens[2]
+                        or tokens[0] == "->" or tokens[2] == "->"):
+                    _check_pair_line(lines[lineno - 1], tokens, lineno)
+                pairs.append((tokens[0], tokens[2]))
+                continue
+            src, dst = _GRID_STEPS[step]
+            arrows[step] = _build_pbij(objects[src], objects[dst], pairs, header)
+            step = None
+        if not tokens:
             continue
-        endpoints = tokens[-1][:-1]
-        if (tokens[0] != "arrow" or len(tokens) != 2 or not tokens[1].endswith(":")
-                or "->" not in endpoints):
-            raise ParseError(i, f"expected 'arrow (r,c)->(r,c):', got {line.strip()!r}")
-        src_txt, dst_txt = endpoints.split("->", 1)
-        src, dst = _CELLS.get(src_txt), _CELLS.get(dst_txt)
-        if src is None or dst is None:
-            bad = src_txt if src is None else dst_txt
-            raise ParseError(i, f"expected a cell like (1,2), got {bad!r}")
-        horizontal = src[0] == dst[0] and dst[1] == src[1] + 1
-        vertical = src[1] == dst[1] and dst[0] == src[0] + 1
-        if not (horizontal or vertical):
-            raise ParseError(i, "arrows must step one cell right or one cell down")
-        if (src, dst) in arrows:
-            raise ParseError(i, f"arrow {endpoints} given twice")
-        header_line = i
-        i, pairs = _read_pairs(lines, i, ("arrow", "object"))
-        arrows[(src, dst)] = _build_pbij(objects[src], objects[dst], pairs, header_line)
+        step = _STEPS.get(tokens[1]) if tokens[0] == "arrow" and len(tokens) == 2 else None
+        if step is None or arrows[step] is not None:
+            _check_arrow_header(lines[lineno - 1], tokens, lineno)
+        header, pairs = lineno, []
     if len(objects) < 9:
         raise ParseError(end, "expected nine 'object ROW COL = ...' lines")
-
-    def need(src: tuple[int, int], dst: tuple[int, int]) -> PBij:
-        try:
-            return arrows.pop((src, dst))
-        except KeyError:
-            raise ParseError(end, f"missing arrow {_arrow_header(src, dst)[6:-1]}") from None
-
-    def row(r: int) -> tuple[PBij, PBij]:
-        return need((r, 0), (r, 1)), need((r, 1), (r, 2))
-
-    top, middle = row(0), row(1)
-    bottom = [((2, c), (2, c + 1)) in arrows for c in range(2)]
-    if bottom[0] != bottom[1]:
-        raise ParseError(end, "bottom row must carry both arrows or neither")
-    col_arrows = tuple(tuple(need((s, c), (s + 1, c)) for c in range(3)) for s in range(2))
-    return Grid3x3((top, middle, row(2) if bottom[0] else None), col_arrows)
+    bottom = arrows[4] is not None
+    for k, arrow in enumerate(arrows):
+        # the bottom row, arrows 4 and 5, is optional but whole
+        if k == 4 and bottom != (arrows[5] is not None):
+            raise ParseError(end, "bottom row must carry both arrows or neither")
+        if arrow is None and k not in (4, 5):
+            raise ParseError(end, f"missing arrow {_arrow_header(*_GRID_STEPS[k])[6:-1]}")
+    return Grid3x3((arrows[0:2], arrows[2:4], arrows[4:6] if bottom else None),
+                   (arrows[6:9], arrows[9:12]))

@@ -170,8 +170,14 @@ def _doubled_blank_lines_and_trailing_spaces(text):
     return "\n\n\n".join(b.replace("\n", "  \n") + "  " for b in (head, *arrows)) + "\n\n"
 
 
+def _headers_split_by_other_whitespace(text):
+    """Tabs, vertical tabs and form feeds, which str.split() splits at too."""
+    return re.sub(r"^(object|arrow) ", "\\1\t", text, flags=re.M).replace(" = ", "\v=\f")
+
+
 # layouts of a serialized grid that must read as the same grid
-LAYOUTS = (str, _reversed_blocks, _no_blank_lines, _doubled_blank_lines_and_trailing_spaces)
+LAYOUTS = (str, _reversed_blocks, _no_blank_lines, _doubled_blank_lines_and_trailing_spaces,
+           _headers_split_by_other_whitespace)
 
 
 def test_every_small_pair_grid_round_trips_before_and_after_completion():
@@ -273,14 +279,6 @@ def test_parse_grid_errors(mangle, line, message):
     with pytest.raises(ParseError) as err:
         parse_grid(text)
     assert (err.value.line, err.value.message) == (line, message)
-
-
-def test_parse_grid_reads_headers_split_by_any_whitespace():
-    text = serialize_grid(grid_fixture())
-    for sep in ("\t", "\v", "\f", " \t "):
-        spaced = re.sub(r"^(object|arrow) ", rf"\1{sep}", text, flags=re.M)
-        assert spaced != text
-        assert parse_grid(spaced.replace(" = ", f"{sep}={sep}")) == grid_fixture()
 
 
 def test_parse_grid_names_the_line_of_the_pair_that_breaks_an_arrow():
