@@ -5,14 +5,23 @@ max-size, seed) followed by a command-specific body.  Identical
 configurations produce byte-identical output.  Exit codes are a contract:
 0 all checks passed, 1 a mathematical violation was found (failed law,
 failed post-verification, rejected table), 2 usage or parse errors.
+
+``check-axioms`` runs its laws on two processes, this one and one forked
+worker, when the process may use at least two CPUs, ``os.fork`` exists and
+no other thread is alive; otherwise it runs them one after another here.
+The report and the exit code are the same bytes either way, because every
+law draws from its own RNG and the results are printed in registry order.
+``taskset -c 0 pbcat check-axioms ...`` takes the one-process path.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import marshal
+import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .baer import cokernel, factorize, kernel
 from .core import (
@@ -115,9 +124,86 @@ def _safe_run_law(name: str, args: argparse.Namespace) -> LawResult:
         return LawResult(name, False, 0, f"internal error: {type(exc).__name__}: {exc}")
 
 
+def _two_processes() -> bool:
+    """Whether ``check-axioms`` runs its laws on this process and a forked
+    worker: the process may use at least two CPUs, it can fork, and no
+    other thread is alive to be lost in the child."""
+    import threading  # here, so that no other command pays for the import
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _worker(names: tuple[str, ...], args: argparse.Namespace, tasks: int,
+            sent: int) -> NoReturn:
+    """The forked worker's life: run the laws whose indices it reads from
+    ``tasks``, send each result down ``sent``, and leave without running
+    the parent's cleanup.  A law it does not finish is rerun by the parent."""
+    try:
+        with open(sent, "wb") as out:
+            while task := os.read(tasks, 1):
+                r = _safe_run_law(names[task[0]], args)
+                marshal.dump((task[0], r.ok, r.checked, r.detail), out)
+                out.flush()
+    finally:  # whatever a law raised, the child never returns to the caller
+        os._exit(0)
+
+
+def _run_laws(args: argparse.Namespace) -> list[LawResult]:
+    """Every law's result, in registry order.
+
+    On two processes (see ``_two_processes``) the parent and one forked
+    worker each take the next law index from a pipe until it is empty.
+    The worker's results come back over a second pipe, read to its end,
+    and the parent reruns any law whose result did not arrive.  The worker
+    is reaped before this returns, and killed first if the parent raised.
+    If the fork fails, the parent takes every index itself.
+    """
+    names = law_names()
+    if not _two_processes():
+        return [_safe_run_law(name, args) for name in names]
+    tasks, todo = os.pipe()
+    os.write(todo, bytes(range(len(names))))
+    os.close(todo)  # before the fork, so both readers see the end
+    received, sent = os.pipe()
+    try:
+        pid: int | None = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        _worker(names, args, tasks, sent)
+    results: dict[int, LawResult] = {}
+    try:
+        os.close(sent)
+        with open(received, "rb") as incoming:
+            while task := os.read(tasks, 1):
+                results[task[0]] = _safe_run_law(names[task[0]], args)
+            while True:
+                try:
+                    index, ok, checked, detail = marshal.load(incoming)
+                except EOFError:  # the worker is done, or died mid-record
+                    break
+                results[index] = LawResult(names[index], ok, checked, detail)
+        if pid is not None:
+            os.waitpid(pid, 0)
+            pid = None
+    finally:
+        os.close(tasks)
+        if pid is not None:
+            import signal  # only a parent that raised kills its worker
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] if i in results else _safe_run_law(name, args)
+            for i, name in enumerate(names)]
+
+
 def _cmd_check_axioms(args: argparse.Namespace) -> tuple[list[str], int]:
     lines: list[str] = []
-    results = [_safe_run_law(name, args) for name in law_names()]
+    results = _run_laws(args)
     for r in results:
         lines.append(f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.checked} cases)")
         if not r.ok:

@@ -1,9 +1,12 @@
 import argparse
 import hashlib
 import itertools
+import os
 import random
 import re
 import sys
+import threading
+import time
 from functools import partial
 from math import factorial, prod
 from types import SimpleNamespace
@@ -12,7 +15,7 @@ import pytest
 
 from pbcat import baer, cli, exact, laws, monoid, textio
 from pbcat.baer import annihilator_projection, kernel
-from pbcat.cli import main
+from pbcat.cli import MAX_SIZE_LIMIT, main
 from pbcat.core import (FinSet, InternalContradictionError, PBij, cancellation_oracle, compose,
                         enumerate_pbij, inverse)
 from pbcat.exact import Grid3x3, build_noether_grid, make_ses, pair_grid
@@ -628,6 +631,14 @@ def test_run_all_runs_every_law_in_registry_order():
     assert run_all(3, 5) == [run_law(name, 3, 5) for name in law_names()]
 
 
+@pytest.mark.parametrize("cap", [3, 6])
+def test_no_law_reads_what_another_left_behind(cap):
+    # what lets check-axioms hand its laws to two processes in any order
+    forward = {name: run_law(name, cap, 5) for name in law_names()}
+    backward = {name: run_law(name, cap, 5) for name in reversed(law_names())}
+    assert backward == forward
+
+
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_a_chain_sweep_checks_every_chain_once_in_product_order(length):
     seen = []
@@ -722,6 +733,166 @@ def test_check_axioms_reports_a_crashing_law_as_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check-axioms", "--max-size", "1")
     assert code == 1
     assert "internal error: RuntimeError: boom" in out
+
+
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def check_axioms(capsys, monkeypatch, two_processes, *argv, run_law=None):
+    """(exit code, stdout, stderr) of check-axioms on the path named, with
+    cli's run_law replaced if one is given, and how many times it forked;
+    no child process may be left after it."""
+    real_fork, forks = os.fork, []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_two_processes", lambda: two_processes)
+        m.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        if run_law is not None:
+            m.setattr(cli, "run_law", run_law)
+        outcome = run_cli(capsys, "check-axioms", *argv)
+    no_child_is_left()
+    assert len(forks) == two_processes
+    return outcome
+
+
+def on_each_path(capsys, monkeypatch, *argv):
+    """check-axioms' outcome on one process, then on two."""
+    return [check_axioms(capsys, monkeypatch, two, *argv) for two in (False, True)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+@pytest.mark.parametrize("size", range(MAX_SIZE_LIMIT + 1))
+def test_two_processes_print_what_one_prints(capsys, monkeypatch, size, seed):
+    serial, forked = on_each_path(capsys, monkeypatch, "--max-size", str(size), "--seed", str(seed))
+    assert forked == serial
+
+
+@pytest.mark.parametrize("target, broken, size",
+                         [(*row, size) for row, (_, runs) in MUTANTS.items() for size in runs],
+                         ids=_mutant_id)
+def test_two_processes_print_what_one_prints_for_every_mutant(capsys, monkeypatch,
+                                                              target, broken, size):
+    monkeypatch.setattr(target, broken)
+    serial, forked = on_each_path(capsys, monkeypatch, "--max-size", size, "--seed", "3")
+    assert forked == serial
+
+
+def after_the_worker_starts(started, in_parent, in_worker):
+    """A run_law that, in the worker, marks ``started`` and calls
+    ``in_worker``; in the parent, it waits for the mark (so that the worker
+    takes a law) and calls ``in_parent``."""
+    parent = os.getpid()
+
+    def run_law(name, max_size, seed):
+        if os.getpid() != parent:
+            started.touch()
+            return in_worker(name, max_size, seed)
+        deadline = time.monotonic() + 60
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return in_parent(name, max_size, seed)
+
+    return run_law
+
+
+def test_a_law_that_crashes_in_the_worker_fails_as_it_would_here(capsys, monkeypatch, tmp_path):
+    def explode(name, max_size, seed):
+        raise RuntimeError("boom")
+
+    run_law = after_the_worker_starts(tmp_path / "started", laws.run_law, explode)
+    code, out, err = check_axioms(capsys, monkeypatch, True, "--max-size", "3",
+                                  run_law=run_law)
+    crashed = [(name, description) for name, description, _ in counterexamples(out)]
+    assert crashed and all(d == "internal error: RuntimeError: boom" for _, d in crashed)
+
+    def explode_where_the_worker_did(name, max_size, seed):
+        if (name, "internal error: RuntimeError: boom") in crashed:
+            explode(name, max_size, seed)
+        return laws.run_law(name, max_size, seed)
+
+    assert check_axioms(capsys, monkeypatch, False, "--max-size", "3",
+                        run_law=explode_where_the_worker_did) == (code, out, err)
+
+
+def test_a_worker_that_dies_leaves_the_report_unchanged(capsys, monkeypatch, tmp_path):
+    def die(name, max_size, seed):
+        os._exit(3)
+
+    started = tmp_path / "started"
+    run_law = after_the_worker_starts(started, laws.run_law, die)
+    forked = check_axioms(capsys, monkeypatch, True, "--max-size", "6", "--seed", "1",
+                          run_law=run_law)
+    assert started.exists()
+    assert forked == check_axioms(capsys, monkeypatch, False, "--max-size", "6", "--seed", "1")
+
+
+def test_a_parent_that_raises_kills_and_reaps_its_worker(capsys, monkeypatch, tmp_path):
+    class Stop(BaseException):
+        pass
+
+    def stop(name, max_size, seed):
+        raise Stop
+
+    def hang(name, max_size, seed):
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_two_processes", lambda: True)
+    monkeypatch.setattr(cli, "run_law", after_the_worker_starts(tmp_path / "started", stop, hang))
+    start = time.monotonic()
+    with pytest.raises(Stop):
+        main(["check-axioms"])
+    assert time.monotonic() - start < 30
+    no_child_is_left()
+
+
+def test_a_failed_fork_runs_every_law_here(capsys, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    serial = check_axioms(capsys, monkeypatch, False, "--max-size", "3")
+    monkeypatch.setattr(cli, "_two_processes", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_cli(capsys, "check-axioms", "--max-size", "3") == serial
+
+
+def two_cpus(monkeypatch, cpus):
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def test_two_processes_need_two_cpus_and_fork(monkeypatch):
+    two_cpus(monkeypatch, 2)
+    assert cli._two_processes()
+    two_cpus(monkeypatch, 1)
+    assert not cli._two_processes()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert not cli._two_processes()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._two_processes()
+    monkeypatch.delattr(os, "fork")
+    assert not cli._two_processes()
+
+
+def test_no_fork_while_another_thread_is_alive(capsys, monkeypatch):
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    two_cpus(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        busy = run_cli(capsys, "check-axioms", "--max-size", "2")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and forks == []
+    assert run_cli(capsys, "check-axioms", "--max-size", "2") == busy
+    assert forks == [1]
+    no_child_is_left()
 
 
 def test_enumerate_counts_and_count_only(capsys):
