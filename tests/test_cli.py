@@ -742,8 +742,8 @@ def no_child_is_left():
 
 def check_axioms(capsys, monkeypatch, two_processes, *argv, run_law=None):
     """(exit code, stdout, stderr) of check-axioms on the path named, with
-    cli's run_law replaced if one is given, and how many times it forked;
-    no child process may be left after it."""
+    cli's run_law replaced if one is given.  It must fork once on two
+    processes and never on one, and leave no child process behind."""
     real_fork, forks = os.fork, []
     with monkeypatch.context() as m:
         m.setattr(cli, "_two_processes", lambda: two_processes)
@@ -856,7 +856,7 @@ def test_a_failed_fork_runs_every_law_here(capsys, monkeypatch):
     assert run_cli(capsys, "check-axioms", "--max-size", "3") == serial
 
 
-def two_cpus(monkeypatch, cpus):
+def usable_cpus(monkeypatch, cpus):
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     else:
@@ -864,9 +864,9 @@ def two_cpus(monkeypatch, cpus):
 
 
 def test_two_processes_need_two_cpus_and_fork(monkeypatch):
-    two_cpus(monkeypatch, 2)
+    usable_cpus(monkeypatch, 2)
     assert cli._two_processes()
-    two_cpus(monkeypatch, 1)
+    usable_cpus(monkeypatch, 1)
     assert not cli._two_processes()
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -880,7 +880,7 @@ def test_two_processes_need_two_cpus_and_fork(monkeypatch):
 def test_no_fork_while_another_thread_is_alive(capsys, monkeypatch):
     real_fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    two_cpus(monkeypatch, 2)
+    usable_cpus(monkeypatch, 2)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
