@@ -1,6 +1,8 @@
-"""Shared helpers for the test suite: tiny constructors and counting oracles."""
+"""Shared helpers for the test suite: tiny constructors, counting oracles
+and the pinned outputs."""
 
 from math import comb, factorial
+from pathlib import Path
 
 from pbcat.core import FinSet, compose
 from pbcat.monoid import CayleyTable, symmetric_inverse_monoid
@@ -32,6 +34,17 @@ def i_of_n_table(points: int) -> CayleyTable:
     lookup = {n: f for n, f in zip(names, elems)}
     return CayleyTable.from_operation(
         names, lambda a, b: by_value[compose(lookup[a], lookup[b])])
+
+
+# every pinned output: one UTF-8 text file per report or outcome list
+REPORTS = Path(__file__).resolve().parent / "reports"
+
+
+def pinned(name: str) -> str:
+    """The text pinned in ``reports/<name>.txt``, its bytes decoded as they
+    are, with no newline translation.  A test compares a whole output with
+    it by a plain ``==``, so that pytest prints the lines that differ."""
+    return (REPORTS / f"{name}.txt").read_bytes().decode("utf-8")
 
 
 # the operand count of each command, and the options of each that take one value
