@@ -9,8 +9,11 @@ failed post-verification, rejected table), 2 usage or parse errors.
 ``check-axioms`` runs its laws on two processes, this one and one forked
 worker, when the process may use at least two CPUs, ``os.fork`` exists and
 no other thread is alive; otherwise it runs them one after another here.
-The report and the exit code are the same bytes either way, because every
-law draws from its own RNG and the results are printed in registry order.
+The two processes take the laws from both ends of the registry in turn
+(0, n-1, 1, n-2, ...), because its costliest laws sit at its two ends and
+the last law either process takes should be a cheap one.  The report and
+the exit code are the same bytes either way, because every law draws from
+its own RNG and the results are printed in registry order.
 ``taskset -c 0 pbcat check-axioms ...`` takes the one-process path.
 """
 
@@ -152,11 +155,30 @@ def _worker(names: tuple[str, ...], args: argparse.Namespace, tasks: int,
         os._exit(0)
 
 
+def _dispatch_order(n: int) -> bytes:
+    """The law indices of an n-law registry in the order ``_run_laws``
+    hands them out, one byte each: from both ends in turn, 0, n-1, 1,
+    n-2, ...
+
+    The costly laws sit at both ends of ``LAWS``: the sweeps over chains
+    of morphisms, costliest at ``--max-size 3``, at the front, and the
+    exact-category laws ending in ``noether-second``, costliest at 6, at
+    the back.  So both groups start first, and the laws taken last are
+    cheap ones from the middle.  Two processes taking from one queue end
+    at most one law apart (Graham's list-scheduling bound), so that law
+    should be a cheap one.
+    """
+    return bytes(n - 1 - i // 2 if i % 2 else i // 2 for i in range(n))
+
+
 def _run_laws(args: argparse.Namespace) -> list[LawResult]:
     """Every law's result, in registry order.
 
     On two processes (see ``_two_processes``) the parent and one forked
     worker each take the next law index from a pipe until it is empty.
+    The pipe holds the indices from both ends of the registry in turn (see
+    ``_dispatch_order``), so that neither process idles while the other
+    ends on a costly law.
     The worker's results come back over a second pipe, read to its end,
     and the parent reruns any law whose result did not arrive.  The worker
     is reaped before this returns, and killed first if the parent raised.
@@ -166,7 +188,7 @@ def _run_laws(args: argparse.Namespace) -> list[LawResult]:
     if not _two_processes():
         return [_safe_run_law(name, args) for name in names]
     tasks, todo = os.pipe()
-    os.write(todo, bytes(range(len(names))))
+    os.write(todo, _dispatch_order(len(names)))
     os.close(todo)  # before the fork, so both readers see the end
     received, sent = os.pipe()
     try:

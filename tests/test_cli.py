@@ -174,7 +174,7 @@ GOLDEN_REPORTS = [
 
 
 @pytest.mark.parametrize("argv", GOLDEN_REPORTS, ids=" ".join)
-def test_reports_match_their_pinned_digest(capsys, argv):
+def test_reports_match_their_pinned_report(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == pinned("_".join(argv))
@@ -192,7 +192,7 @@ WAGNER_PRESTON_REPORTS = {
 
 
 @pytest.mark.parametrize("table", list(WAGNER_PRESTON_REPORTS))
-def test_wagner_preston_reports_match_their_pinned_digest(capsys, tmp_path, table):
+def test_wagner_preston_reports_match_their_pinned_report(capsys, tmp_path, table):
     text, expected_code = WAGNER_PRESTON_REPORTS[table]
     path = tmp_path / "table.txt"
     path.write_text(text())
@@ -614,10 +614,15 @@ def test_run_all_runs_every_law_in_registry_order():
 
 @pytest.mark.parametrize("cap", [3, 6])
 def test_no_law_reads_what_another_left_behind(cap):
-    # what lets check-axioms hand its laws to two processes in any order
-    forward = {name: run_law(name, cap, 5) for name in law_names()}
-    backward = {name: run_law(name, cap, 5) for name in reversed(law_names())}
+    # what lets check-axioms hand its laws to two processes in any order,
+    # checked forward, backward and in the order it hands them out
+    names = law_names()
+    forward = {name: run_law(name, cap, 5) for name in names}
+    backward = {name: run_law(name, cap, 5) for name in reversed(names)}
+    dispatched = {names[i]: run_law(names[i], cap, 5)
+                  for i in cli._dispatch_order(len(names))}
     assert backward == forward
+    assert dispatched == forward
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -842,6 +847,26 @@ def usable_cpus(monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     else:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def test_the_dispatch_order_takes_from_both_ends_in_turn():
+    for n in range(31):
+        remaining = list(range(n))
+        for k, index in enumerate(cli._dispatch_order(n)):
+            assert index == remaining.pop(-1 if k % 2 else 0), n
+        assert remaining == [], n
+
+
+def test_run_laws_writes_the_dispatch_order_into_the_pipe(capsys, monkeypatch):
+    real_write, written = os.write, []
+    monkeypatch.setattr(os, "write", lambda fd, data: written.append(data) or real_write(fd, data))
+    code, out, err = check_axioms(capsys, monkeypatch, True, "--max-size", "2")
+    assert code == 0 and err == ""
+    assert written == [cli._dispatch_order(len(law_names()))]
+
+
+def test_every_law_index_fits_in_the_one_byte_the_pipe_carries():
+    assert len(law_names()) <= 256
 
 
 def test_two_processes_need_two_cpus_and_fork(monkeypatch):

@@ -648,7 +648,7 @@ def test_cli_reports_a_wrong_inverse_entry_as_an_internal_contradiction(
 
 # the wagner-preston report on I(4) with its 209 elements in a seeded random
 # order, so that carrier order is not enumeration order
-def test_wagner_preston_report_on_a_shuffled_i4_matches_its_pinned_digest(
+def test_wagner_preston_report_on_a_shuffled_i4_matches_its_pinned_report(
         capsys, tmp_path):
     path = tmp_path / "i4.txt"
     path.write_text(serialize_cayley(shuffled(i_of_n_table(4), random.Random(4))))
